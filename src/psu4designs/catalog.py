@@ -110,28 +110,6 @@ CLOSED_FORM_V: dict[int, Callable[[int, int], int]] = {
     10: lambda x, d: x**4 * (x**3 + 1) * (x**2 - 1) // d,
 }
 
-_LABELS = {
-    1: "^E_q^{1+4}:SU_2(q):(q^2-1)",
-    2: "^E_q^4:SL_2(q^2):(q-1)",
-    3: "^GU_3(q)",
-    4: "^(q+1)^3:S_4",
-    5: "^SU_2(q)^2:(q+1).2",
-    6: "^SL_2(q^2).(q-1).2",
-    7: "^SU_4(q0)",
-    8: "^Sp_4(q).gcd(2,q+1)",
-    9: "^SO_4^+(q).d",
-    10: "^SO_4^-(q).d",
-    11: "^(4o2^{1+4}).S_6",
-    12: "^(4o2^{1+4}).A_6",
-    13: "^(do2).PSL_2(7)",
-    14: "^(do2).A_7",
-    15: "^4_2.PSL_3(4)",
-    16: "^(do2).PSU_4(2)",
-}
-
-# Display-only annotations.
-_NOVELTY = {4: "novelty if q=3", 6: "novelty if q=3", 13: "novelty"}
-
 
 def _subfield_decompositions(q: PrimePower) -> list[tuple[PrimePower, int]]:
     """All (q0, r) with q = q0^r and r an odd prime, ascending in r."""
@@ -176,15 +154,8 @@ class SubgroupCase:
     """One case line, optionally bound to a subfield decomposition (line 7)."""
 
     line: int
-    structure_label: str
     parabolic: bool
-    novelty: Optional[str] = None
     subfield: Optional[tuple[PrimePower, int]] = None
-
-    def applies(self, q: PrimePower) -> bool:
-        if self.line == 7:
-            return self.subfield in _subfield_decompositions(q)
-        return _applies(self.line, q)
 
     def su_level_order(self, q: PrimePower) -> int:
         return _su_level_order(self.line, q, self.subfield)
@@ -229,16 +200,7 @@ class SubgroupCase:
 
 
 def _make_case(line: int, subfield: Optional[tuple[PrimePower, int]] = None) -> SubgroupCase:
-    label = _LABELS[line]
-    if line == 7 and subfield is not None:
-        label = f"^SU_4({subfield[0].q})"
-    return SubgroupCase(
-        line=line,
-        structure_label=label,
-        parabolic=line in PARABOLIC_LINES,
-        novelty=_NOVELTY.get(line),
-        subfield=subfield,
-    )
+    return SubgroupCase(line, line in PARABOLIC_LINES, subfield)
 
 
 def cases_for(q: PrimePower) -> list[SubgroupCase]:

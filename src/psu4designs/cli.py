@@ -25,18 +25,11 @@ from datetime import datetime, timezone
 from . import __version__, designs, permgroup, sieve
 from .designs import DesignFormatError
 from .exactmath import primes_up_to
-from .geometry import ISOTROPIC, NONSQUARE_TYPE, SQUARE_TYPE
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-_DESIGN_CLASS = {
-    "menon36": SQUARE_TYPE,
-    "minus45": NONSQUARE_TYPE,
-    "higman40": ISOTROPIC,
-}
 
 _GROUP_NAMES = {25920: "PSU4(2)", 51840: "PSU4(2):2"}
 
@@ -313,7 +306,7 @@ def cmd_iso(args: argparse.Namespace) -> int:
 
 
 def cmd_group(args: argparse.Namespace) -> int:
-    action = permgroup.orthogonal_reflection_action(_DESIGN_CLASS[args.design])
+    action = permgroup.orthogonal_reflection_action(designs.KIND_POINT_CLASS[args.design])
     if args.check == "order":
         order = permgroup.group_order(action)
         name = _GROUP_NAMES.get(order, "unrecognised")
@@ -383,7 +376,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("group", help="induced reflection-group checks")
-    p.add_argument("--design", required=True, choices=sorted(_DESIGN_CLASS))
+    p.add_argument("--design", required=True, choices=sorted(designs.KIND_POINT_CLASS))
     p.add_argument("--complement", action="store_true",
                    help="run the check against the complement design")
     p.add_argument("--check", required=True,

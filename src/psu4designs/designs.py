@@ -29,11 +29,11 @@ __all__ = [
     "VerifiedDesign",
     "DesignFormatError",
     "KINDS",
+    "KIND_POINT_CLASS",
     "build",
     "verify_symmetric",
     "complement",
     "flags",
-    "are_isomorphic",
     "find_isomorphism",
     "is_isomorphism",
     "relabel",
@@ -45,7 +45,7 @@ __all__ = [
 
 KINDS = ("menon36", "minus45", "higman40", "pg33")
 
-_KIND_POINT_CLASS = {
+KIND_POINT_CLASS = {
     "menon36": SQUARE_TYPE,
     "minus45": NONSQUARE_TYPE,
     "higman40": ISOTROPIC,
@@ -116,15 +116,10 @@ def build(kind: str) -> IncidenceStructure:
     if kind == "pg33":
         blocks = tuple(tuple(b) for b in geometry.pg_hyperplanes(4, 3))
         return IncidenceStructure(40, blocks)
-    if kind not in _KIND_POINT_CLASS:
+    if kind not in KIND_POINT_CLASS:
         raise ValueError(f"unknown design kind {kind!r}; expected one of {KINDS}")
     space = geometry.design_space()
-    wanted = _KIND_POINT_CLASS[kind]
-    points = [
-        pt
-        for pt in geometry.projective_points(5, 3)
-        if geometry.classify_point(space, pt) == wanted
-    ]
+    points = geometry.class_points(KIND_POINT_CLASS[kind])
     blocks = tuple(
         tuple(j for j, y in enumerate(points) if space.bilinear(x, y) == 0)
         for x in points
@@ -236,7 +231,7 @@ class _IsoSearch:
     def __init__(self, d1: IncidenceStructure, d2: IncidenceStructure) -> None:
         self.n = d1.v
         self.d1 = d1
-        self.blocks2 = Counter(d2.blocks)
+        self.d2 = d2
         self.masks1 = d1.point_masks()
         self.masks2 = d2.point_masks()
         prof1 = _pair_profiles(d1)
@@ -311,10 +306,7 @@ class _IsoSearch:
         for y in range(self.n):
             image[col2[y]] = y
         perm = [image[c] for c in col1]
-        mapped = Counter(tuple(sorted(perm[i] for i in b)) for b in self.d1.blocks)
-        if mapped == self.blocks2:
-            return perm
-        return None
+        return perm if is_isomorphism(self.d1, self.d2, perm) else None
 
     def search(
         self,
@@ -348,8 +340,7 @@ def find_isomorphism(
 ) -> Optional[list[int]]:
     """A point bijection mapping blocks onto blocks, or None.
 
-    Any witness found is re-validated with ``is_isomorphism`` before it is
-    returned.
+    Any witness returned has passed ``is_isomorphism``.
     """
     n = d1.v
     if n != d2.v or len(d1.blocks) != len(d2.blocks):
@@ -360,14 +351,7 @@ def find_isomorphism(
     start = searcher._refine([0] * n, [0] * n)
     if start is None:
         return None
-    witness = searcher.search(*start)
-    if witness is not None and not is_isomorphism(d1, d2, witness):
-        raise AssertionError("isomorphism witness failed re-validation")
-    return witness
-
-
-def are_isomorphic(d1: IncidenceStructure, d2: IncidenceStructure) -> bool:
-    return find_isomorphism(d1, d2) is not None
+    return searcher.search(*start)
 
 
 # ---------------------------------------------------------------------------

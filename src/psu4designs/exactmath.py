@@ -15,7 +15,6 @@ from math import gcd, isqrt
 __all__ = [
     "PrimePower",
     "Factorization",
-    "gcd",
     "is_prime",
     "factorize",
     "divisors",
@@ -24,9 +23,8 @@ __all__ = [
     "prime_powers_up_to",
 ]
 
-# Deterministic Miller-Rabin witness set; proves primality for all
-# n < 3.317e24 (more than enough head room for trial-division cofactors,
-# which only need the test once they exceed 10^8).
+# Miller-Rabin witness set, also the small primes is_prime divides out
+# first; it proves primality for all n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 10_000
@@ -52,7 +50,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:
@@ -74,7 +72,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle variant).
+    """A nontrivial factor of odd composite n (Floyd's cycle detection).
 
     The addend c is stepped deterministically so repeated runs factor the
     same input the same way.
@@ -116,30 +114,14 @@ class Factorization:
             n *= p**e
         return n
 
-    def multiplicity(self, p: int) -> int:
-        for q, e in self.pairs:
-            if q == p:
-                return e
-        return 0
-
-    def divisor_count(self) -> int:
-        n = 1
-        for _, e in self.pairs:
-            n *= e + 1
-        return n
-
-    def __str__(self) -> str:
-        if not self.pairs:
-            return "1"
-        return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.pairs)
-
 
 def factorize(n: int) -> Factorization:
     """Canonical prime factorization of n >= 1.
 
     Trial division pulls out everything below 10^4; any remaining cofactor
-    is split by deterministic Miller-Rabin plus Pollard rho, which covers
-    the ~2^200 values the catalog can produce.
+    is split by Miller-Rabin plus Pollard rho.  The fixed witness set proves
+    primality only below 3.317*10^24; a larger cofactor that passes is a
+    probable prime.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")

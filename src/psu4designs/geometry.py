@@ -27,7 +27,7 @@ __all__ = [
     "design_space",
     "projective_points",
     "classify_point",
-    "perp_set",
+    "class_points",
     "reflection",
     "pg_hyperplanes",
     "ISOTROPIC",
@@ -80,13 +80,9 @@ class ProjectivePoint:
         return "(" + ":".join(map(str, self.coords)) + ")"
 
 
-def projective_points(dim, p: int | None = None) -> list[ProjectivePoint]:
+def projective_points(dim: int, p: int) -> list[ProjectivePoint]:
     """All (p^dim - 1)/(p - 1) points of PG(dim-1, p), in lexicographic
-    normal-form order.  Accepts either (dim, p) or a QuadraticSpace."""
-    if isinstance(dim, QuadraticSpace):
-        dim, p = dim.dim, dim.field.p
-    if p is None:
-        raise TypeError("projective_points needs a modulus p")
+    normal-form order."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     seen = set()
@@ -182,11 +178,14 @@ def classify_point(space: QuadraticSpace, x: ProjectivePoint) -> str:
     return NONSQUARE_TYPE
 
 
-def perp_set(
-    space: QuadraticSpace, x: ProjectivePoint, universe: list[ProjectivePoint]
-) -> list[ProjectivePoint]:
-    """The members of the universe orthogonal to x."""
-    return [y for y in universe if space.bilinear(x, y) == 0]
+def class_points(point_class: str) -> list[ProjectivePoint]:
+    """The points of one class in the design space, in projective_points(5, 3)
+    order.  Designs and reflection actions both index points by this list,
+    so their point numberings agree."""
+    space = design_space()
+    return [
+        pt for pt in projective_points(5, 3) if classify_point(space, pt) == point_class
+    ]
 
 
 def reflection(space: QuadraticSpace, v) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import geometry
 from .designs import IncidenceStructure, flags
@@ -28,7 +28,6 @@ __all__ = [
     "orbits",
     "stabilizer_chain",
     "group_order",
-    "contains",
     "induced_block_action",
     "is_flag_transitive",
     "is_primitive",
@@ -102,15 +101,13 @@ def induce(
     return PermutationAction(len(points), tuple(gens))
 
 
-def orbit(action: PermutationAction, seed: int) -> set[int]:
-    """Breadth-first closure of seed under the generators."""
-    if not 0 <= seed < action.degree:
-        raise ValueError("seed out of range")
+def _closure(gens: Sequence[Permutation], seed: int) -> set[int]:
+    """The orbit of seed under the generator list."""
     seen = {seed}
     queue = [seed]
     while queue:
         a = queue.pop()
-        for g in action.generators:
+        for g in gens:
             b = g[a]
             if b not in seen:
                 seen.add(b)
@@ -118,14 +115,26 @@ def orbit(action: PermutationAction, seed: int) -> set[int]:
     return seen
 
 
-def orbits(action: PermutationAction) -> list[set[int]]:
-    remaining = set(range(action.degree))
+def _orbits(gens: Sequence[Permutation], n: int) -> list[set[int]]:
+    """The orbits on {0..n-1}, ordered by their least points."""
+    remaining = set(range(n))
     out = []
     while remaining:
-        o = orbit(action, min(remaining))
+        o = _closure(gens, min(remaining))
         out.append(o)
         remaining -= o
     return out
+
+
+def orbit(action: PermutationAction, seed: int) -> set[int]:
+    """The orbit of seed under the action."""
+    if not 0 <= seed < action.degree:
+        raise ValueError("seed out of range")
+    return _closure(action.generators, seed)
+
+
+def orbits(action: PermutationAction) -> list[set[int]]:
+    return _orbits(action.generators, action.degree)
 
 
 def _orbit_transversal(
@@ -163,40 +172,11 @@ def _schreier_generators(
 
 @dataclass
 class StabilizerChain:
-    """Base points with transversals; enough for order and membership."""
+    """Base points with their transversals, and the group order."""
 
     base: tuple[int, ...]
     transversals: tuple[dict[int, Permutation], ...]
     order: int
-
-
-def _pick_base_point(
-    gens: Sequence[Permutation], n: int, first: bool
-) -> Optional[int]:
-    moved = [i for i in range(n) if any(g[i] != i for g in gens)]
-    if not moved:
-        return None
-    if first:
-        return moved[0]
-    # greedy: a representative of the largest orbit of the current level
-    remaining = set(moved)
-    best: tuple[int, int] | None = None  # (-size, min point)
-    while remaining:
-        seed = min(remaining)
-        seen = {seed}
-        queue = [seed]
-        while queue:
-            a = queue.pop()
-            for g in gens:
-                b = g[a]
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        key = (-len(seen), min(seen))
-        if best is None or key < best:
-            best = key
-        remaining -= seen
-    return best[1]
 
 
 @lru_cache(maxsize=None)
@@ -206,12 +186,10 @@ def _chain(action: PermutationAction) -> StabilizerChain:
     base = []
     transversals = []
     order = 1
-    first = True
     while gens:
-        beta = _pick_base_point(gens, n, first)
-        if beta is None:
-            break
-        first = False
+        # the least point of the first largest orbit; nontrivial generators
+        # always move some point, so this orbit has at least two points
+        beta = min(max(_orbits(gens, n), key=len))
         trans = _orbit_transversal(gens, beta, n)
         base.append(beta)
         transversals.append(trans)
@@ -229,17 +207,6 @@ def stabilizer_chain(action: PermutationAction) -> StabilizerChain:
 def group_order(action: PermutationAction) -> int:
     """Exact order of the generated group."""
     return stabilizer_chain(action).order
-
-
-def contains(chain: StabilizerChain, perm: Permutation) -> bool:
-    """Membership by sifting through the chain's transversals."""
-    p = perm
-    for beta, trans in zip(chain.base, chain.transversals):
-        b = p[beta]
-        if b not in trans:
-            return False
-        p = compose(p, inverse(trans[b]))
-    return p == identity_perm(len(perm))
 
 
 def induced_block_action(
@@ -350,8 +317,7 @@ def stabilizer_orbit_sizes(action: PermutationAction, point: int) -> list[int]:
         raise NotTransitiveError("action is not transitive")
     trans = _orbit_transversal(action.generators, point, n)
     sgens = _schreier_generators(action.generators, trans)
-    sub = PermutationAction(n, tuple(sgens))
-    return sorted(len(o) for o in orbits(sub))
+    return sorted(len(o) for o in _orbits(sgens, n))
 
 
 def orthogonal_reflection_action(point_class: str) -> PermutationAction:
@@ -363,16 +329,13 @@ def orthogonal_reflection_action(point_class: str) -> PermutationAction:
     orthogonal group, so the induced permutation group realises the whole
     projective isometry group of the form on that point set.
     """
-    space = geometry.design_space()
-    points = geometry.projective_points(5, 3)
-    universe = [
-        pt for pt in points if geometry.classify_point(space, pt) == point_class
-    ]
+    universe = geometry.class_points(point_class)
     if not universe:
         raise ValueError(f"unknown point class {point_class!r}")
+    space = geometry.design_space()
     mirrors = [
         pt
-        for pt in points
+        for pt in geometry.projective_points(5, 3)
         if geometry.classify_point(space, pt) != geometry.ISOTROPIC
     ]
     matrices = [geometry.reflection(space, v) for v in mirrors]

@@ -426,9 +426,8 @@ def _bound_tables_cached() -> dict[str, dict]:
         passing = []
         for p in primes_up_to(200):
             q = PrimePower.of(p, 1)
-            if catalog.cases_for(q) and any(c.line == line for c in catalog.cases_for(q)):
-                if cube_prefilter(line, q):
-                    passing.append(p)
+            if any(c.line == line for c in catalog.cases_for(q)) and cube_prefilter(line, q):
+                passing.append(p)
         lines9[line] = passing
     tables["9"] = {"lines": lines9}
 

@@ -47,7 +47,6 @@ def test_line7_bound_to_decomposition():
     assert len(cases) == 1
     q0, r = cases[0].subfield
     assert (q0.q, r) == (2, 3)
-    assert cases[0].structure_label == "^SU_4(2)"
 
 
 def test_line7_double_decomposition_needs_disambiguation():
@@ -119,8 +118,3 @@ def test_inconsistent_order_detected(monkeypatch):
     with pytest.raises(CatalogError):
         case.point_count(Q2)
 
-
-def test_novelty_annotations_display_only():
-    assert case_for(4, Q3).novelty == "novelty if q=3"
-    assert case_for(13, Q5).novelty == "novelty"
-    assert case_for(1, Q2).novelty is None

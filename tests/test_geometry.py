@@ -10,10 +10,10 @@ from psu4designs.geometry import (
     PrimeField,
     ProjectivePoint,
     QuadraticSpace,
+    class_points,
     classify_point,
     design_space,
     diagonal_space,
-    perp_set,
     pg_hyperplanes,
     projective_points,
     reflection,
@@ -55,15 +55,13 @@ def test_classification_scaling_invariant():
         assert classify_point(space, x) == classify_point(space, y)
 
 
-def test_perp_set_sizes():
+def test_class_points_keep_point_order():
     space = design_space()
     points = projective_points(5, 3)
-    by_class = {}
-    for x in points:
-        by_class.setdefault(classify_point(space, x), []).append(x)
-    assert {len(perp_set(space, x, by_class[SQUARE_TYPE])) for x in by_class[SQUARE_TYPE]} == {15}
-    assert {len(perp_set(space, x, by_class[NONSQUARE_TYPE])) for x in by_class[NONSQUARE_TYPE]} == {12}
-    assert {len(perp_set(space, x, by_class[ISOTROPIC])) for x in by_class[ISOTROPIC]} == {13}
+    for point_class, size in ((ISOTROPIC, 40), (SQUARE_TYPE, 36), (NONSQUARE_TYPE, 45)):
+        got = class_points(point_class)
+        assert len(got) == size
+        assert got == [x for x in points if classify_point(space, x) == point_class]
 
 
 def test_reflection_defining_properties():
@@ -145,9 +143,3 @@ def test_field_inverse():
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
 
-
-def test_projective_points_accepts_space():
-    space = design_space()
-    assert projective_points(space) == projective_points(5, 3)
-    with pytest.raises(TypeError):
-        projective_points(5)

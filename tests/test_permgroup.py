@@ -9,7 +9,6 @@ from psu4designs.permgroup import (
     NotTransitiveError,
     PermutationAction,
     compose,
-    contains,
     group_order,
     identity_perm,
     induce,
@@ -101,14 +100,15 @@ def test_order_invariant_under_redundant_generators(reflection_actions):
     assert group_order(augmented) == group_order(action)
 
 
-def test_membership_sifting(reflection_actions):
-    action = reflection_actions["menon36"]
-    chain = stabilizer_chain(action)
-    g, h = action.generators[0], action.generators[7]
-    assert contains(chain, identity_perm(36))
-    assert contains(chain, compose(g, h))
-    transposition = tuple([1, 0] + list(range(2, 36)))
-    assert not contains(chain, transposition)
+def test_group_order_intransitive():
+    # S3 on {0,1,2} x C2 on {3,4}
+    s3_c2 = PermutationAction(5, ((1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (0, 1, 2, 4, 3)))
+    assert group_order(s3_c2) == 12
+    # C2 on {0,1} x S3 on {2,3,4}: the base starts in the largest orbit
+    c2_s3 = PermutationAction(5, ((1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 3, 4, 2)))
+    chain = stabilizer_chain(c2_s3)
+    assert chain.order == 12
+    assert chain.base[0] == 2
 
 
 def test_transitivity_of_reflection_actions(reflection_actions):
