@@ -9,7 +9,6 @@ chain implementation would be called for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import geometry
@@ -179,9 +178,10 @@ class StabilizerChain:
     order: int
 
 
-@lru_cache(maxsize=None)
-def _chain(action: PermutationAction) -> StabilizerChain:
+def stabilizer_chain(action: PermutationAction) -> StabilizerChain:
     n = action.degree
+    if n > 10_000:
+        raise ValueError("degree beyond the desk-scale guard (10^4)")
     gens = sorted({g for g in action.generators if g != identity_perm(n)})
     base = []
     transversals = []
@@ -196,12 +196,6 @@ def _chain(action: PermutationAction) -> StabilizerChain:
         order *= len(trans)
         gens = _schreier_generators(gens, trans)
     return StabilizerChain(tuple(base), tuple(transversals), order)
-
-
-def stabilizer_chain(action: PermutationAction) -> StabilizerChain:
-    if action.degree > 10_000:
-        raise ValueError("degree beyond the desk-scale guard (10^4)")
-    return _chain(action)
 
 
 def group_order(action: PermutationAction) -> int:
@@ -313,6 +307,8 @@ def stabilizer_orbit_sizes(action: PermutationAction, point: int) -> list[int]:
     """Sorted orbit sizes of the stabilizer of the point (Schreier
     generators); their count is the permutation rank."""
     n = action.degree
+    if not 0 <= point < n:
+        raise ValueError("point out of range")
     if len(orbit(action, 0)) != n:
         raise NotTransitiveError("action is not transitive")
     trans = _orbit_transversal(action.generators, point, n)

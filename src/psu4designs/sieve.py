@@ -20,11 +20,9 @@ certify arithmetically.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
@@ -345,15 +343,27 @@ def _t8_holds(x: int, a: int) -> bool:
     return v - 1 < 2 * a * a * s * (dq + 2 * a * s * f * hq)
 
 
-_A_LIMIT = 64
+# Every cut-off inequality fails once q = p^a > _Q_CEILING * a^3:
+#   t4: (q^2-q+1)(q^2+1) > q^4 - q^3, so it fails once q >= 160a + 1;
+#   t6: (q^3+1)(q+1) > q^4 + q^3, so it fails once q >= 96a;
+#   t7: e <= 5, d(q) < q^4 + q^3 and h(q) < q^2 bound the right-hand side
+#       by 10a^2 q^4 (1 + 1/q + 5a/q^2) < q^5 <= v-1 once q > 28a^3;
+#   t8: s <= 35, d(q) < 8q^3 and f(q)h(q) < 2q^4 bound the right-hand side
+#       by 560a^2 q^3 + 9800a^3 q^4 < 10010a^3 q^4 (q >= 3), while
+#       v-1 >= q^5/2 - 1, so it fails once q > 20020a^3 + 2/q^4.
+# For a >= 4, p^a / a^3 grows with a (p (a/(a+1))^3 >= 2 * 0.512 > 1); at
+# p = 2 it falls from a = 3 to a = 4, so exponents below 4 are always tried.
+_Q_CEILING = 20021
 
 
 def _cap(holds, p: int) -> int:
     """Largest a with holds(p^a, a); 0 when even a=1 fails."""
     best = 0
-    for a in range(1, _A_LIMIT + 1):
+    a = 1
+    while a < 4 or p**a <= _Q_CEILING * a**3:
         if holds(p**a, a):
             best = a
+        a += 1
     return best
 
 
@@ -368,11 +378,6 @@ def bound_tables() -> dict[str, dict]:
       "8" - (p, max a) caps for line 8 with q odd
       "9" - cube-prefilter survivors per fixed-group line
     """
-    return copy.deepcopy(_bound_tables_cached())
-
-
-@lru_cache(maxsize=1)
-def _bound_tables_cached() -> dict[str, dict]:
     tables: dict[str, dict] = {}
 
     rows3 = {}
@@ -382,21 +387,10 @@ def _bound_tables_cached() -> dict[str, dict]:
         rows3[x] = {"v": case.point_count(q), "k_divides": case.k_divisor_bound(q)}
     tables["3"] = {"rows": rows3}
 
-    caps4 = {}
-    for p in primes_up_to(10_000):
-        c = _cap(_t4_holds, p)
-        if c == 0:
-            break
-        caps4[p] = c
-    tables["4"] = {"caps": caps4}
-
-    caps6 = {}
-    for p in primes_up_to(10_000):
-        c = _cap(_t6_holds, p)
-        if c == 0:
-            break
-        caps6[p] = c
-    tables["6"] = {"caps": caps6}
+    # a prime above the ceiling fails at every exponent
+    primes = primes_up_to(_Q_CEILING)
+    tables["4"] = {"caps": {p: c for p in primes if (c := _cap(_t4_holds, p))}}
+    tables["6"] = {"caps": {p: c for p in primes if (c := _cap(_t6_holds, p))}}
 
     # the cut-off is one-sided: a_max is the largest exponent where the
     # inequality holds, and every 1 < a <= a_max is tabulated
@@ -411,15 +405,8 @@ def _bound_tables_cached() -> dict[str, dict]:
     tables["7"] = {"rows": rows7}
 
     # the s = gcd(q+2,5)*gcd(q-1,7) factor makes pass/fail non-monotone in p,
-    # so scan all odd primes below the analytic ceiling ~21000
-    caps8 = {}
-    for p in primes_up_to(21_000):
-        if p == 2:
-            continue
-        c = _cap(_t8_holds, p)
-        if c:
-            caps8[p] = c
-    tables["8"] = {"caps": caps8}
+    # so every odd prime below the ceiling is tried
+    tables["8"] = {"caps": {p: c for p in primes[1:] if (c := _cap(_t8_holds, p))}}
 
     lines9 = {}
     for line in range(11, 17):

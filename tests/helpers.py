@@ -1,9 +1,12 @@
-"""Independent brute-force oracle for the divisor-scan feasibility search.
+"""Independent brute-force oracles for the sieve's fast paths.
 
-Deliberately does not touch the package's divisor enumeration: it walks
-every k in 3..min(v-2, cap) directly and applies the same constraint set,
-so agreement with ``feasible_candidates`` checks the search path, not the
-constraints alone.
+``brute_force_candidates`` deliberately does not touch the package's
+divisor enumeration: it walks every k in 3..min(v-2, cap) directly and
+applies the same constraint set, so agreement with ``feasible_candidates``
+checks the search path, not the constraints alone.
+
+``exhaustive_cap`` tries a fixed 64 exponents for every prime, so agreement
+with ``sieve._cap`` checks the derived exponent ceiling that stops it early.
 """
 
 from math import gcd, isqrt
@@ -32,3 +35,12 @@ def brute_force_candidates(v, k_bound, subdeg, p, parabolic, k_cap=10**6):
             continue
         out.append((v, k, lam))
     return out
+
+
+def exhaustive_cap(holds, p):
+    """Largest a <= 64 with holds(p^a, a); 0 when even a=1 fails."""
+    best = 0
+    for a in range(1, 65):
+        if holds(p**a, a):
+            best = a
+    return best

@@ -143,6 +143,9 @@ def test_stabilizer_orbits_partition_degree(reflection_actions):
 
 def test_regular_action_rank_equals_degree():
     assert stabilizer_orbit_sizes(cyclic_action(5), 0) == [1, 1, 1, 1, 1]
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="point out of range"):
+            stabilizer_orbit_sizes(symmetric_action(3), bad)
 
 
 def test_flag_transitivity(reflection_actions):

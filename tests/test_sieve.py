@@ -1,8 +1,8 @@
 import pytest
-from helpers import brute_force_candidates
+from helpers import brute_force_candidates, exhaustive_cap
 
 from psu4designs.catalog import case_for
-from psu4designs.exactmath import PrimePower
+from psu4designs.exactmath import PrimePower, primes_up_to
 from psu4designs.sieve import (
     CUBE_PREFILTER,
     ELIMINATED,
@@ -17,7 +17,7 @@ from psu4designs.sieve import (
     scan_all,
     scan_case,
 )
-from psu4designs.sieve import _scan_divisors
+from psu4designs.sieve import _cap, _scan_divisors, _t4_holds, _t6_holds, _t7_holds, _t8_holds
 
 Q2 = PrimePower.of(2, 1)
 Q3 = PrimePower.of(3, 1)
@@ -192,6 +192,8 @@ def test_oracle_agreement_samples():
 
 def test_bound_tables_shapes():
     tables = bound_tables()
+    tables["4"]["caps"][2] = 0
+    tables = bound_tables()
     assert tables["3"]["rows"][4] == {"v": 339456, "k_divides": 12000}
     assert tables["4"]["caps"][2] == 10
     assert tables["6"]["caps"][2] == 9
@@ -203,6 +205,13 @@ def test_bound_tables_shapes():
     assert tables["9"]["lines"] == {
         11: [7], 12: [3], 13: [], 14: [3, 5], 15: [3], 16: [5, 11],
     }
+
+
+def test_cap_ceiling_matches_exhaustive_search():
+    for p in primes_up_to(2000):
+        for holds in (_t4_holds, _t6_holds) + ((_t8_holds,) if p > 2 else ()):
+            assert _cap(holds, p) == exhaustive_cap(holds, p), (holds.__name__, p)
+    assert _cap(_t7_holds, 2) == exhaustive_cap(_t7_holds, 2)
 
 
 def test_scan_report_unique_case_keys(full_scan):
