@@ -413,5 +413,11 @@ def write_design(design: IncidenceStructure, path: str) -> None:
 
 
 def read_design(path: str) -> IncidenceStructure:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_design(fh.read())
+    with open(path, "rb") as fh:  # universal newlines, as text mode reads them
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DesignFormatError(lineno, "non-ASCII byte") from None
+    return parse_design(text)

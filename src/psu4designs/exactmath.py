@@ -3,10 +3,6 @@
 Everything here operates on plain Python ints, which are arbitrary
 precision; the sieve routinely builds stabiliser orders and k-bounds in the
 2^200 range, so nothing in this module may assume fixed-width arithmetic.
-Divisor lists are materialised rather than streamed.  The largest k-bound
-has 505,440 divisors at p <= 13, a <= 3; 606,528 at p = 2, a <= 12; and
-34,117,200 at p <= 13, a <= 6, so a scan of that range holds a list of
-34 million ints.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ __all__ = [
     "Factorization",
     "is_prime",
     "factorize",
-    "divisors",
     "is_perfect_square",
     "primes_up_to",
     "prime_powers_up_to",
@@ -146,18 +141,6 @@ def factorize(n: int) -> Factorization:
         stack.append(d)
         stack.append(m // d)
     return Factorization(tuple(sorted(counts.items())))
-
-
-def divisors(f: Factorization | int) -> list[int]:
-    """All divisors, ascending, each exactly once."""
-    if isinstance(f, int):
-        f = factorize(f)
-    divs = [1]
-    for p, e in f.pairs:
-        powers = [p**i for i in range(e + 1)]
-        divs = [d * pk for d in divs for pk in powers]
-    divs.sort()
-    return divs
 
 
 def is_perfect_square(n: int) -> bool:

@@ -1,7 +1,8 @@
 """Arithmetic feasibility sieve over the PSU4(q) maximal-subgroup catalog.
 
-For each (case line, q) the sieve enumerates the divisors k of the k-bound
-2a*d*|H0| and keeps exactly those passing the symmetric-design constraints:
+For each (case line, q) the sieve walks the residues of k mod v-1 that (i)
+allows, and keeps the k dividing the k-bound 2a*d*|H0| that pass the
+symmetric-design constraints:
 
   (i)   (v-1) | k(k-1), which fixes lambda = k(k-1)/(v-1),
   (ii)  lambda < k,
@@ -28,7 +29,7 @@ from typing import Optional
 
 from . import catalog
 from .catalog import SubgroupCase, case_for, cases_for, out_order, socle_order
-from .exactmath import PrimePower, divisors, factorize, is_perfect_square, primes_up_to
+from .exactmath import PrimePower, factorize, is_perfect_square, primes_up_to
 
 __all__ = [
     "DesignParams",
@@ -59,8 +60,9 @@ SUBDEG_FAIL = "SUBDEG_FAIL"
 TITS_FAIL = "TITS_FAIL"
 CUBE_PREFILTER = "CUBE_PREFILTER"
 
-# stage depth of the per-divisor rejection codes; an eliminated case is
-# summarised by the deepest stage any divisor reached
+# stage depth of the per-k rejection codes; an eliminated case is summarised
+# by the deepest stage any k reached.  NO_K_DIVISOR counts the residues k
+# allowed by (v-1) | k(k-1) that do not divide the k-bound
 _STAGE = {NO_K_DIVISOR: 0, LAMBDA_BOUND_FAIL: 1, SQUARE_FAIL: 2, SUBDEG_FAIL: 3}
 
 # parameter triples of the known flag-transitive point-primitive designs,
@@ -111,7 +113,7 @@ class FeasibilityResult:
     tits_violated: bool = False
 
 
-def _scan_divisors(
+def _k_search(
     v: int, k_bound: int, subdeg: list[int], p: int, parabolic: bool
 ) -> FeasibilityResult:
     if v < 4:
@@ -124,14 +126,22 @@ def _scan_divisors(
     effective = [math.gcd(d, vm1) if parabolic else d for d in subdeg]
     rejections: Counter[str] = Counter()
     candidates: list[tuple[DesignParams, dict]] = []
-    for k in divisors(factorize(k_bound)):
-        if k <= 2 or k >= vm1:
+    # gcd(k, k-1) = 1, so each prime power r^e exactly dividing v-1 divides k
+    # or k-1, and k only if r^e | k_bound.  By CRT, k mod v-1 is a*(a^-1 mod
+    # (v-1)/a) for a product a of such r^e; as 2 < k < v-1, each residue is at
+    # most one k.  Only k_bound is factored, never v-1.
+    parts = [1]
+    for r, e in factorize(k_bound).pairs:
+        g = math.gcd(vm1, r**e)
+        if g > 1 and (vm1 // g) % r:
+            parts += [a * g for a in parts]
+    for k in sorted(a * pow(a, -1, vm1 // a) % vm1 for a in parts):
+        if k <= 2:
             continue
-        kk = k * (k - 1)
-        if kk % vm1:
+        if k_bound % k:
             rejections[NO_K_DIVISOR] += 1
             continue
-        lam = kk // vm1
+        lam = k * (k - 1) // vm1
         if lam >= k or lam * v >= k * k:
             rejections[LAMBDA_BOUND_FAIL] += 1
             continue
@@ -161,13 +171,13 @@ def feasible_candidates(
     v: int, k_bound: int, subdeg: list[int], p: int, parabolic: bool
 ) -> list[tuple[DesignParams, dict]]:
     """The (k, lambda) candidates surviving constraints (i)-(vi), ascending in k."""
-    return _scan_divisors(v, k_bound, subdeg, p, parabolic).candidates
+    return _k_search(v, k_bound, subdeg, p, parabolic).candidates
 
 
 def cube_prefilter(line: int, q: PrimePower) -> bool:
     """Order test |X| <= |Out(X)|^2 * |H0|^3 for the fixed-group lines 11-16.
 
-    True means the case survives to the divisor stage.
+    True means the case survives to the k-search.
     """
     if not 11 <= line <= 16:
         raise ValueError("cube prefilter applies to lines 11-16 only")
@@ -216,7 +226,7 @@ def _scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
         return CaseOutcome(
             line, q, v, k_bound, ELIMINATED, CUBE_PREFILTER, [], {}, case.subfield
         )
-    result = _scan_divisors(v, k_bound, case.subdegree_divisors(q), q.p, case.parabolic)
+    result = _k_search(v, k_bound, case.subdegree_divisors(q), q.p, case.parabolic)
     if result.tits_violated:
         return CaseOutcome(
             line, q, v, k_bound, ELIMINATED, TITS_FAIL, [], {}, case.subfield

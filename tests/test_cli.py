@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from psu4designs import cli
 
@@ -112,6 +115,15 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in out
 
 
+@pytest.mark.parametrize("blob, lineno", [(b"\xff\xfe\n", 1), (b"3 1\n0 \xff\n", 2)])
+def test_verify_non_ascii_exit_2(tmp_path, capsys, blob, lineno):
+    path = tmp_path / "binary.des"
+    path.write_bytes(blob)
+    code, out = run(capsys, "verify", str(path))
+    assert code == 2
+    assert f"line {lineno}: non-ASCII byte" in out
+
+
 def test_iso_two_40_27_18_files(tmp_path, capsys):
     p1 = tmp_path / "a.des"
     p2 = tmp_path / "b.des"
@@ -162,3 +174,16 @@ def test_stdout_byte_identical_across_runs(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_sieve_31_3_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "scan.json"
+    code, out = run(capsys, "sieve", "--pmax", "31", "--amax", "3",
+                    "--json", str(path), "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "af7d0200cf2be2ae300c6ca199096efcf2684a27abfd88f86f0486ed80880f9a"
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6466f1a048cfede98156ca6cfe0c79bbc2beccf29f6a4f8ed29257272b274435"
+    )

@@ -6,7 +6,6 @@ import pytest
 from psu4designs.exactmath import (
     Factorization,
     PrimePower,
-    divisors,
     factorize,
     gcd,
     is_perfect_square,
@@ -49,20 +48,6 @@ def test_factorize_catalog_scale():
     f = factorize(n)
     assert f.value == n
     assert f.pairs == ((2, 7), (3, 5), (7, 2), (13, 18), (61, 2), (157, 2))
-
-
-def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert len(divisors(1440)) == 36
-    assert divisors(97) == [1, 97]
-
-
-def test_divisors_closed_under_complement():
-    for n in (12, 97, 1296, 1440, 360360):
-        ds = divisors(n)
-        assert ds == sorted(ds)
-        assert len(set(ds)) == len(ds)
-        assert sorted(n // d for d in ds) == ds
 
 
 def test_perfect_squares():

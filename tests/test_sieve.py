@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from helpers import brute_force_candidates, exhaustive_cap
+from helpers import brute_force_candidates, divisor_scan, exhaustive_cap
 
 from psu4designs.catalog import case_for
 from psu4designs.exactmath import PrimePower, primes_up_to
@@ -8,6 +10,7 @@ from psu4designs.sieve import (
     ELIMINATED,
     NO_K_DIVISOR,
     SURVIVOR,
+    TITS_FAIL,
     UNRESOLVED,
     DesignParams,
     bound_tables,
@@ -17,7 +20,7 @@ from psu4designs.sieve import (
     scan_all,
     scan_case,
 )
-from psu4designs.sieve import _cap, _scan_divisors, _t4_holds, _t6_holds, _t7_holds, _t8_holds
+from psu4designs.sieve import _STAGE, _cap, _k_search, _t4_holds, _t6_holds, _t7_holds, _t8_holds
 
 Q2 = PrimePower.of(2, 1)
 Q3 = PrimePower.of(3, 1)
@@ -27,6 +30,10 @@ Q5 = PrimePower.of(5, 1)
 
 def triples(candidates):
     return [params.triple() for params, _ in candidates]
+
+
+def past_stage0(rejections):
+    return {r: n for r, n in rejections.items() if _STAGE[r] > 0}
 
 
 def test_parabolic_line1_at_q2():
@@ -64,7 +71,7 @@ def test_preconditions():
 
 def test_tits_violation_flagged():
     # artificial case: p divides v-1, non-parabolic stabiliser
-    result = _scan_divisors(10, 720, [], 3, False)
+    result = _k_search(10, 720, [], 3, False)
     assert result.tits_violated
     assert result.candidates == []
 
@@ -218,3 +225,49 @@ def test_scan_report_unique_case_keys(full_scan):
     keys = [oc.sort_key() for oc in full_scan.outcomes]
     assert len(keys) == len(set(keys))
     assert keys == sorted(keys)
+
+
+def test_residue_search_matches_divisor_scan(full_scan):
+    searched = 0
+    for oc in full_scan.outcomes:
+        if oc.reason in (CUBE_PREFILTER, TITS_FAIL):
+            continue
+        case = case_for(oc.line, oc.q, oc.subfield)
+        want, rejections = divisor_scan(
+            oc.v, oc.k_bound, case.subdegree_divisors(oc.q), oc.q.p, case.parabolic
+        )
+        keep = ("square_root", "subdegree_checks")
+        got = [
+            (params.triple(), {key: trace[key] for key in keep})
+            for params, trace in oc.candidates
+        ]
+        assert got == want, (oc.line, oc.q.q)
+        assert past_stage0(oc.rejections) == past_stage0(rejections), (oc.line, oc.q.q)
+        searched += 1
+    assert searched > 100
+
+
+def test_residue_search_random_differential():
+    rng = random.Random(20261018)
+
+    def smooth():
+        n = 1
+        for r in (2, 3, 5, 7, 11, 13):
+            n *= r ** rng.randrange(5)
+        return n
+
+    nonempty = 0
+    for _ in range(1000):
+        v = rng.randrange(4, 5000)
+        k_bound = smooth()
+        subdeg = [smooth() for _ in range(rng.randrange(3))]
+        p = rng.choice((2, 3, 5, 7))
+        parabolic = rng.random() < 0.5
+        result = _k_search(v, k_bound, subdeg, p, parabolic)
+        want, rejections = divisor_scan(v, k_bound, subdeg, p, parabolic)
+        got = [(params.triple(), trace) for params, trace in result.candidates]
+        assert got == want, (v, k_bound, subdeg, p, parabolic)
+        assert past_stage0(result.rejections) == past_stage0(rejections)
+        assert [t for t, _ in want] == brute_force_candidates(v, k_bound, subdeg, p, parabolic)
+        nonempty += bool(got)
+    assert nonempty > 0
