@@ -82,6 +82,8 @@ def induce(
     """The permutations of the point list induced by matrices acting
     projectively (x -> normal form of M x).  Scalar matrices induce the
     identity; a matrix moving any point out of the set is rejected."""
+    if not points:
+        raise ValueError("empty point list")
     index = {pt.coords: i for i, pt in enumerate(points)}
     dim = len(points[0].coords)
     gens = []
@@ -316,23 +318,20 @@ def stabilizer_orbit_sizes(action: PermutationAction, point: int) -> list[int]:
     return sorted(len(o) for o in _orbits(sgens, n))
 
 
-def orthogonal_reflection_action(point_class: str) -> PermutationAction:
-    """The full reflection group of the dim-5 orthogonal space over F_3,
-    induced on one class of projective points (isotropic, square-type or
-    nonsquare-type).
+# The lexicographically first generating 5-subset of the 81 mirrors; greedy
+# needs 8.  Four never do: they fix a nonzero vector; the group fixes no point.
+_MIRRORS = ((0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 1, 0), (1, 0, 1, 1, 1))
 
-    Reflections along all 81 anisotropic points generate the full
-    orthogonal group, so the induced permutation group realises the whole
-    projective isometry group of the form on that point set.
+
+def orthogonal_reflection_action(point_class: str) -> PermutationAction:
+    """The reflection group of the dim-5 orthogonal F_3 space, PSU4(2):2 of
+    order 51840, on one point class (isotropic, square-type or nonsquare-type).
+    The reflections along the five _MIRRORS are among those along all 81
+    anisotropic points and already reach that order, so they generate it all.
     """
     universe = geometry.class_points(point_class)
     if not universe:
         raise ValueError(f"unknown point class {point_class!r}")
     space = geometry.design_space()
-    mirrors = [
-        pt
-        for pt in geometry.projective_points(5, 3)
-        if geometry.classify_point(space, pt) != geometry.ISOTROPIC
-    ]
-    matrices = [geometry.reflection(space, v) for v in mirrors]
+    matrices = [geometry.reflection(space, v) for v in _MIRRORS]
     return induce(matrices, universe, 3)

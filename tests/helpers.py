@@ -12,12 +12,18 @@ agreement with ``sieve._k_search`` checks everything past stage 0.
 
 ``exhaustive_cap`` tries a fixed 64 exponents for every prime, so agreement
 with ``sieve._cap`` checks the derived exponent ceiling that stops it early.
+
+``all_reflections_action`` is the reflection action generated by all 81
+mirrors, as ``permgroup.orthogonal_reflection_action`` built it before it
+used five, so agreement checks that the five generate the same group.
 """
 
 from collections import Counter
 from math import gcd, isqrt
 
+from psu4designs import geometry
 from psu4designs.exactmath import factorize
+from psu4designs.permgroup import induce
 
 
 def brute_force_candidates(v, k_bound, subdeg, p, parabolic, k_cap=10**6):
@@ -92,3 +98,17 @@ def divisor_scan(v, k_bound, subdeg, p, parabolic):
         ]
         out.append(((v, k, lam), {"square_root": root, "subdegree_checks": checks}))
     return out, dict(rejections)
+
+
+def all_reflections_action(point_class):
+    universe = geometry.class_points(point_class)
+    if not universe:
+        raise ValueError(f"unknown point class {point_class!r}")
+    space = geometry.design_space()
+    mirrors = [
+        pt
+        for pt in geometry.projective_points(5, 3)
+        if geometry.classify_point(space, pt) != geometry.ISOTROPIC
+    ]
+    matrices = [geometry.reflection(space, v) for v in mirrors]
+    return induce(matrices, universe, 3)

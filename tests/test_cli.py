@@ -138,21 +138,22 @@ def test_iso_two_40_27_18_files(tmp_path, capsys):
     assert "witness:" in out
 
 
-def test_group_checks(capsys):
-    code, out = run(capsys, "group", "--design", "minus45", "--check", "flagtrans")
-    assert (code, out.strip()) == (0, "yes")
-    code, out = run(capsys, "group", "--design", "minus45", "--check", "order")
-    assert code == 0
-    assert "order 51840 (PSU4(2):2)" in out
-    code, out = run(capsys, "group", "--design", "higman40", "--complement", "--check", "flagtrans")
-    assert (code, out.strip()) == (0, "yes")
-    code, out = run(capsys, "group", "--design", "higman40", "--check", "flagtrans")
-    assert (code, out.strip()) == (0, "no")
-    code, out = run(capsys, "group", "--design", "menon36", "--check", "rank")
-    assert code == 0
-    assert "rank 3" in out
-    code, out = run(capsys, "group", "--design", "menon36", "--check", "primitive")
-    assert (code, out.strip()) == (0, "yes")
+_RANK_SIZES = {"menon36": "[1, 15, 20]", "minus45": "[1, 12, 32]", "higman40": "[1, 12, 27]"}
+_FLAGTRANS = {"menon36": ("yes", "no"), "minus45": ("yes", "no"), "higman40": ("no", "yes")}
+
+
+@pytest.mark.parametrize("complement", [False, True], ids=["plain", "complement"])
+@pytest.mark.parametrize("check", ["order", "primitive", "rank", "flagtrans"])
+@pytest.mark.parametrize("design", ["menon36", "minus45", "higman40"])
+def test_group_checks(capsys, design, check, complement):
+    want = {
+        "order": "order 51840 (PSU4(2):2)",
+        "primitive": "yes",
+        "rank": f"rank 3 (stabilizer orbit sizes {_RANK_SIZES[design]})",
+        "flagtrans": _FLAGTRANS[design][complement],
+    }[check]
+    argv = ["group", "--design", design, "--check", check] + ["--complement"] * complement
+    assert run(capsys, *argv) == (0, want + "\n")
 
 
 def test_usage_errors(capsys):

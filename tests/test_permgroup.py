@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
+from helpers import all_reflections_action
 
 from psu4designs import geometry
-from psu4designs.designs import build, complement, flags
+from psu4designs.designs import KIND_POINT_CLASS, build, complement, flags
 from psu4designs.geometry import SQUARE_TYPE, classify_point, design_space, projective_points, reflection
 from psu4designs.permgroup import (
     NotTransitiveError,
@@ -54,6 +56,8 @@ def test_induce_rejects_wrong_point_set():
     shift = tuple(tuple(1 if (i + 1) % 5 == j else 0 for j in range(5)) for i in range(5))
     with pytest.raises(ValueError):
         induce([ident, shift], points, 3)
+    with pytest.raises(ValueError, match="empty point list"):
+        induce([ident], [], 3)
 
 
 def test_reflection_fixed_points_on_menon_set():
@@ -109,6 +113,42 @@ def test_group_order_intransitive():
     chain = stabilizer_chain(c2_s3)
     assert chain.order == 12
     assert chain.base[0] == 2
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_POINT_CLASS))
+def test_five_mirrors_generate_the_reflection_group(kind, reflection_actions):
+    five = reflection_actions[kind]
+    full = all_reflections_action(KIND_POINT_CLASS[kind])
+    # H <= G and |H| = |G|, so H = G
+    assert len(five.generators) == 5
+    assert set(five.generators) <= set(full.generators)
+    chain5, chain81 = stabilizer_chain(five), stabilizer_chain(full)
+    assert chain5.order == chain81.order == 51840
+    assert chain5.base == chain81.base
+    assert [set(t) for t in chain5.transversals] == [set(t) for t in chain81.transversals]
+    assert stabilizer_orbit_sizes(five, 0) == stabilizer_orbit_sizes(full, 0)
+    assert is_primitive(five) == is_primitive(full)
+    for design in (build(kind), complement(build(kind))):
+        got = [
+            is_flag_transitive(action, design, induced_block_action(action, design))
+            for action in (five, full)
+        ]
+        assert got[0] == got[1]
+
+
+def test_mirrors_are_the_first_generating_five(reflection_actions):
+    """No 5-subset of the 81 reflections before the chosen one, in
+    combinations order, generates the whole group."""
+    full = all_reflections_action(geometry.SQUARE_TYPE)
+    five = reflection_actions["menon36"].generators
+    chosen = tuple(sorted(full.generators.index(g) for g in five))
+    for subset in itertools.combinations(range(len(full.generators)), 5):
+        action = PermutationAction(36, tuple(full.generators[i] for i in subset))
+        # transitivity is necessary and cheap; it spares most chain builds
+        generates = len(orbit(action, 0)) == 36 and group_order(action) == 51840
+        assert generates == (subset == chosen)
+        if subset == chosen:
+            break
 
 
 def test_transitivity_of_reflection_actions(reflection_actions):
