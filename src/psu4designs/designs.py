@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
+from struct import calcsize
+from sys import byteorder
 from typing import Optional, Union
 
 from . import geometry
@@ -206,21 +209,59 @@ def is_isomorphism(
 # equitable), so each individualisation also refines every vertex by its
 # triple counts against the anchor set picked so far, which discretises
 # the colouring after two or three anchors.
+#
+# The profiles are read from packed integers rather than counted pair by
+# pair.  Each block becomes one big int whose field (y, z) of a v x v
+# matrix is 1 when y and z both lie in the block; summed over the blocks
+# through x, field (y, z) is |B(x) & B(y) & B(z)|.  A field must hold the
+# largest replication number, so its width comes from the input, never a
+# fixed byte: with one-byte fields, 300 copies of a block read as 44.  The
+# b block products are kept for the whole call, b * v^2 fields.
 # ---------------------------------------------------------------------------
 
 
 def _pair_profiles(design: IncidenceStructure) -> list[list[tuple]]:
+    """Per point pair (x, y), (lambda_xy, sorted histogram of the triple
+    counts over z != x, y); the diagonal is (-1, ()).
+
+    Memory: the b outer products are held at once, b * v^2 fields of the
+    smallest of 1, 2, 4, 8 bytes that holds the largest replication number
+    (91 kB for b = v = 45); building them per x instead gives back most of
+    the speed.
+    """
     n = design.v
-    masks = design.point_masks()
+    through: list[list[int]] = [[] for _ in range(n)]
+    for b, block in enumerate(design.blocks):
+        for i in block:
+            through[i].append(b)
+    most = max(map(len, through), default=0)
+    fmt = next(f for f in "BHIQ" if most < 1 << 8 * calcsize(f))
+    size = calcsize(fmt)
+    cols = [1 << 8 * size * z for z in range(n)]
+    rows = [1 << 8 * size * n * y for y in range(n)]
+    outer = [
+        sum(map(rows.__getitem__, block)) * sum(map(cols.__getitem__, block))
+        for block in design.blocks
+    ]
+    memo: dict[tuple, tuple] = {}
     prof: list[list[Optional[tuple]]] = [[None] * n for _ in range(n)]
     for x in range(n):
         prof[x][x] = (-1, ())  # diagonal marker, below any real profile
+        triples = sum(map(outer.__getitem__, through[x])).to_bytes(size * n * n, byteorder)
+        fields = memoryview(triples).cast(fmt)
         for y in range(x + 1, n):
-            mxy = masks[x] & masks[y]
-            hist = Counter(
-                (mxy & masks[z]).bit_count() for z in range(n) if z != x and z != y
-            )
-            key = (mxy.bit_count(), tuple(sorted(hist.items())))
+            # row y of x's matrix: fields x and y are lambda_xy itself, the
+            # two entries the histogram leaves out
+            row = fields[y * n:(y + 1) * n]
+            lam = row[x]
+            seen = (lam, tuple(sorted(row)))
+            key = memo.get(seen)
+            if key is None:
+                hist = Counter(row)
+                hist[lam] -= 2
+                if not hist[lam]:
+                    del hist[lam]
+                key = memo[seen] = (lam, tuple(sorted(hist.items())))
             prof[x][y] = prof[y][x] = key
     return prof
 
@@ -238,8 +279,9 @@ class _IsoSearch:
         prof2 = _pair_profiles(d2)
         keys = {k for row in prof1 for k in row} | {k for row in prof2 for k in row}
         ids = {k: i for i, k in enumerate(sorted(keys))}
-        self.ec1 = [[ids[k] for k in row] for row in prof1]
-        self.ec2 = [[ids[k] for k in row] for row in prof2]
+        n = self.n
+        self.en1 = [[ids[k] * n for k in row] for row in prof1]
+        self.en2 = [[ids[k] * n for k in row] for row in prof2]
 
     def _renumber(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
         if sorted(sig1) != sorted(sig2):
@@ -250,20 +292,16 @@ class _IsoSearch:
     def _refine(
         self, col1: list[int], col2: list[int]
     ) -> Optional[tuple[list[int], list[int]]]:
-        n = self.n
+        # A point's signature is the multiset of codes e * n + c over all y,
+        # e the edge id of (x, y) and c the colour of y.  As c < n, the codes
+        # order exactly as the (e, c) pairs.  Id 0 is the diagonal's alone
+        # (its (-1, ()) sorts below every real profile), so y = x adds the
+        # leading item (col[x], 1) and nothing else: two signatures are equal,
+        # and sort, as the pairs (col[x], {(e, c) over y != x}) do.
+        en1, en2 = self.en1, self.en2
         while True:
-            sig1 = [
-                (col1[x], tuple(sorted(Counter(
-                    (self.ec1[x][y], col1[y]) for y in range(n) if y != x
-                ).items())))
-                for x in range(n)
-            ]
-            sig2 = [
-                (col2[x], tuple(sorted(Counter(
-                    (self.ec2[x][y], col2[y]) for y in range(n) if y != x
-                ).items())))
-                for x in range(n)
-            ]
+            sig1 = [tuple(sorted(Counter(map(add, row, col1)).items())) for row in en1]
+            sig2 = [tuple(sorted(Counter(map(add, row, col2)).items())) for row in en2]
             renumbered = self._renumber(sig1, sig2)
             if renumbered is None:
                 return None

@@ -16,12 +16,20 @@ with ``sieve._cap`` checks the derived exponent ceiling that stops it early.
 ``all_reflections_action`` is the reflection action generated by all 81
 mirrors, as ``permgroup.orthogonal_reflection_action`` built it before it
 used five, so agreement checks that the five generate the same group.
+
+``reference_pair_profiles`` and ``ReferenceIsoSearch`` are the pair
+profiles and the refinement as ``designs`` computed them from point masks
+and (edge id, colour) tuples, before packed triple-count rows and integer
+codes; ``reference_find_isomorphism`` runs the search on them, so
+agreement checks the profiles, the colour ids and the witness.
 """
 
 from collections import Counter
 from math import gcd, isqrt
+from typing import Optional
 
 from psu4designs import geometry
+from psu4designs.designs import IncidenceStructure, _IsoSearch
 from psu4designs.exactmath import factorize
 from psu4designs.permgroup import induce
 
@@ -112,3 +120,76 @@ def all_reflections_action(point_class):
     ]
     matrices = [geometry.reflection(space, v) for v in mirrors]
     return induce(matrices, universe, 3)
+
+
+def reference_pair_profiles(design: IncidenceStructure) -> list[list[tuple]]:
+    n = design.v
+    masks = design.point_masks()
+    prof: list[list[Optional[tuple]]] = [[None] * n for _ in range(n)]
+    for x in range(n):
+        prof[x][x] = (-1, ())  # diagonal marker, below any real profile
+        for y in range(x + 1, n):
+            mxy = masks[x] & masks[y]
+            hist = Counter(
+                (mxy & masks[z]).bit_count() for z in range(n) if z != x and z != y
+            )
+            key = (mxy.bit_count(), tuple(sorted(hist.items())))
+            prof[x][y] = prof[y][x] = key
+    return prof
+
+
+class ReferenceIsoSearch(_IsoSearch):
+    """The search with the reference profiles and refinement; individualisation,
+    branching and witness extraction are inherited."""
+
+    def __init__(self, d1: IncidenceStructure, d2: IncidenceStructure) -> None:
+        self.n = d1.v
+        self.d1 = d1
+        self.d2 = d2
+        self.masks1 = d1.point_masks()
+        self.masks2 = d2.point_masks()
+        prof1 = reference_pair_profiles(d1)
+        prof2 = reference_pair_profiles(d2)
+        keys = {k for row in prof1 for k in row} | {k for row in prof2 for k in row}
+        ids = {k: i for i, k in enumerate(sorted(keys))}
+        self.ec1 = [[ids[k] for k in row] for row in prof1]
+        self.ec2 = [[ids[k] for k in row] for row in prof2]
+
+    def _refine(
+        self, col1: list[int], col2: list[int]
+    ) -> Optional[tuple[list[int], list[int]]]:
+        n = self.n
+        while True:
+            sig1 = [
+                (col1[x], tuple(sorted(Counter(
+                    (self.ec1[x][y], col1[y]) for y in range(n) if y != x
+                ).items())))
+                for x in range(n)
+            ]
+            sig2 = [
+                (col2[x], tuple(sorted(Counter(
+                    (self.ec2[x][y], col2[y]) for y in range(n) if y != x
+                ).items())))
+                for x in range(n)
+            ]
+            renumbered = self._renumber(sig1, sig2)
+            if renumbered is None:
+                return None
+            new1, new2 = renumbered
+            if len(set(new1)) == len(set(col1)):
+                return new1, new2
+            col1, col2 = new1, new2
+
+
+def reference_find_isomorphism(d1, d2):
+    """``designs.find_isomorphism`` over ``ReferenceIsoSearch``."""
+    n = d1.v
+    if n != d2.v or len(d1.blocks) != len(d2.blocks):
+        return None
+    if sorted(map(len, d1.blocks)) != sorted(map(len, d2.blocks)):
+        return None
+    searcher = ReferenceIsoSearch(d1, d2)
+    start = searcher._refine([0] * n, [0] * n)
+    if start is None:
+        return None
+    return searcher.search(*start)

@@ -179,7 +179,7 @@ def test_criterion_8_sieve_vs_oracle(full_scan):
         assert got == want, (outcome.line, q.q)
         compared += 1
     assert compared >= 40
-    report("criterion 8", f"divisor scan equals the brute-force oracle on {compared} cases")
+    report("criterion 8", f"residue search equals the brute-force oracle on {compared} cases")
 
 
 def test_criterion_9_square_spot_checks():

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from psu4designs import cli
+from psu4designs.designs import build, relabel, write_design
 
 
 def run(capsys, *argv):
@@ -136,6 +138,35 @@ def test_iso_two_40_27_18_files(tmp_path, capsys):
     assert code == 0
     assert "yes" in out
     assert "witness:" in out
+
+
+# computed before the pair profiles were read from packed triple counts;
+# the search must keep returning these very witnesses
+_ISO_PINNED = {
+    ("menon36", "menon36"): "yes\nwitness: 0 1 31 7 17 24 8 18 9 12 3 29 34 11 22 30 25 23"
+    " 26 33 4 5 32 13 10 21 20 27 2 19 14 15 35 6 16 28\n",
+    ("minus45", "minus45"): "yes\nwitness: 0 1 4 23 15 38 8 43 10 13 12 42 41 2 27 34 29 37"
+    " 14 6 16 28 7 32 35 44 3 22 9 24 26 25 19 17 36 33 40 11 30 21 20 5 39 18 31\n",
+    ("higman40", "higman40"): "yes\nwitness: 0 1 2 5 9 26 30 17 16 11 37 38 33 12 8 4 36 29"
+    " 3 24 28 19 25 34 31 18 20 6 35 13 39 14 27 23 10 7 32 15 21 22\n",
+    ("pg33", "pg33"): "yes\nwitness: 0 1 10 15 2 14 39 24 5 12 36 4 27 3 37 16 23 32 20 38"
+    " 6 7 18 9 17 28 25 22 35 30 26 33 21 11 8 31 29 19 13 34\n",
+    ("pg33", "higman40"): "no\n",
+}
+
+
+@pytest.mark.parametrize("kinds", list(_ISO_PINNED), ids="-".join)
+def test_iso_witness_pinned(tmp_path, capsys, kinds):
+    """``iso`` of a built design against a seeded relabelling prints exactly
+    the pinned answer and witness."""
+    kind1, kind2 = kinds
+    d2 = build(kind2)
+    perm = list(range(d2.v))
+    random.Random(f"iso:{kind2}").shuffle(perm)
+    p1, p2 = tmp_path / "a.des", tmp_path / "b.des"
+    write_design(build(kind1), str(p1))
+    write_design(relabel(d2, perm), str(p2))
+    assert run(capsys, "iso", str(p1), str(p2)) == (0, _ISO_PINNED[kinds])
 
 
 _RANK_SIZES = {"menon36": "[1, 15, 20]", "minus45": "[1, 12, 32]", "higman40": "[1, 12, 27]"}

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_find_isomorphism, reference_pair_profiles
 from psu4designs.designs import (
     KINDS,
     DesignFormatError,
@@ -18,6 +21,7 @@ from psu4designs.designs import (
     relabel,
     verify_symmetric,
     write_design,
+    _pair_profiles,
 )
 from psu4designs.sieve import DesignParams
 
@@ -168,6 +172,57 @@ def test_isomorphism_reflexive_and_symmetric(built):
     assert find_isomorphism(d1, d1) is not None
     assert find_isomorphism(d2, d2) is not None
     assert (find_isomorphism(d1, d2) is None) == (find_isomorphism(d2, d1) is None)
+
+
+def _random_structure(rng):
+    """Blocks of any size, empty ones included, some of them repeated."""
+    v = rng.randint(1, 14)
+    blocks = [
+        tuple(sorted(rng.sample(range(v), rng.randint(0, v))))
+        for _ in range(rng.randint(0, 16))
+    ]
+    blocks += rng.choices(blocks, k=rng.randint(0, 4)) if blocks else []
+    rng.shuffle(blocks)
+    return IncidenceStructure(v, tuple(blocks))
+
+
+def test_pair_profiles_match_reference(built):
+    cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
+    rng = random.Random(2024)
+    cases += [_random_structure(rng) for _ in range(200)]
+    # 300 blocks through points 0-2: a one-byte field would read 300 as 44
+    cases.append(IncidenceStructure(5, ((0, 1, 2),) * 300 + ((3, 4),)))
+    for d in cases:
+        assert _pair_profiles(d) == reference_pair_profiles(d), d
+    assert _pair_profiles(cases[-1])[0][1] == (300, ((0, 2), (300, 1)))
+
+
+def test_search_matches_reference(built):
+    """The same witness, not just a valid one: colour ids and branch order
+    are unchanged."""
+    rng = random.Random(606)
+    pairs = [(built["pg33"], built["higman40"])]
+    for kind in KINDS:
+        for d in (built[kind], complement(built[kind])):
+            for _ in range(2):
+                perm = list(range(d.v))
+                rng.shuffle(perm)
+                pairs.append((d, relabel(d, perm)))
+    for d1, d2 in pairs:
+        assert find_isomorphism(d1, d2) == reference_find_isomorphism(d1, d2)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), comp=st.booleans(), data=st.data())
+def test_relabelled_design_witness_property(kind, comp, data):
+    d = build(kind)
+    if comp:
+        d = complement(d)
+    perm = data.draw(st.permutations(range(d.v)), label="perm")
+    shuffled = relabel(d, perm)
+    witness = find_isomorphism(d, shuffled)
+    assert witness is not None
+    assert is_isomorphism(d, shuffled, witness)
 
 
 def test_is_isomorphism_rejects_wrong_map(built):
