@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from . import geometry
 from .geometry import ISOTROPIC, NONSQUARE_TYPE, SQUARE_TYPE
-from .sieve import DesignParams
+from .exactmath import DesignParams
 
 __all__ = [
     "IncidenceStructure",
@@ -298,17 +298,23 @@ class _IsoSearch:
         # (its (-1, ()) sorts below every real profile), so y = x adds the
         # leading item (col[x], 1) and nothing else: two signatures are equal,
         # and sort, as the pairs (col[x], {(e, c) over y != x}) do.
+        # A discrete colouring is returned as it is.  A further round could
+        # not change its ids, only fail; and if it fails, the bijection the
+        # colouring fixes maps some pair to a pair with another edge id, so
+        # it is no isomorphism and _extract rejects the same branch.
         en1, en2 = self.en1, self.en2
-        while True:
+        classes = len(set(col1))
+        while classes < self.n:
             sig1 = [tuple(sorted(Counter(map(add, row, col1)).items())) for row in en1]
             sig2 = [tuple(sorted(Counter(map(add, row, col2)).items())) for row in en2]
             renumbered = self._renumber(sig1, sig2)
             if renumbered is None:
                 return None
-            new1, new2 = renumbered
-            if len(set(new1)) == len(set(col1)):
-                return new1, new2
-            col1, col2 = new1, new2
+            col1, col2 = renumbered
+            before, classes = classes, len(set(col1))
+            if classes == before:
+                break
+        return col1, col2
 
     def _individualize(
         self,

@@ -1,4 +1,6 @@
-"""Exact unbounded-integer arithmetic for the feasibility sieve.
+"""Exact unbounded-integer arithmetic for the feasibility sieve, and the
+symmetric-design parameter triple that both the sieve and the constructions
+produce.
 
 Everything here operates on plain Python ints, which are arbitrary
 precision; the sieve routinely builds stabiliser orders and k-bounds in the
@@ -8,6 +10,7 @@ precision; the sieve routinely builds stabiliser orders and k-bounds in the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 __all__ = [
@@ -16,6 +19,7 @@ __all__ = [
     "is_prime",
     "factorize",
     "is_perfect_square",
+    "DesignParams",
     "primes_up_to",
     "prime_powers_up_to",
 ]
@@ -37,7 +41,7 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 _TRIAL_PRIMES = primes_up_to(_TRIAL_LIMIT)
@@ -148,6 +152,36 @@ def is_perfect_square(n: int) -> bool:
         return False
     r = isqrt(n)
     return r * r == n
+
+
+@dataclass(frozen=True)
+class DesignParams:
+    """A symmetric (v, k, lambda) parameter triple.
+
+    Construction re-checks the arithmetic identities, so any triple that
+    escapes the sieve is sound independently of the search path.
+    """
+
+    v: int
+    k: int
+    lam: int
+
+    def __post_init__(self) -> None:
+        v, k, lam = self.v, self.k, self.lam
+        if not 2 < k < v - 1:
+            raise ValueError(f"nontriviality 2 < k < v-1 fails for {(v, k, lam)}")
+        if k * (k - 1) != lam * (v - 1):
+            raise ValueError(f"k(k-1) = lambda(v-1) fails for {(v, k, lam)}")
+        if lam * v >= k * k:
+            raise ValueError(f"lambda*v < k^2 fails for {(v, k, lam)}")
+        if not is_perfect_square(4 * lam * (v - 1) + 1):
+            raise ValueError(f"4*lambda*(v-1)+1 is not a square for {(v, k, lam)}")
+
+    def triple(self) -> tuple[int, int, int]:
+        return (self.v, self.k, self.lam)
+
+    def __str__(self) -> str:
+        return f"({self.v},{self.k},{self.lam})"
 
 
 @dataclass(frozen=True, order=True)

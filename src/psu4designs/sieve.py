@@ -29,17 +29,16 @@ from typing import Optional
 
 from . import catalog
 from .catalog import SubgroupCase, case_for, cases_for, out_order, socle_order
-from .exactmath import PrimePower, factorize, is_perfect_square, primes_up_to
+from .exactmath import DesignParams, PrimePower, factorize, primes_up_to
 
 __all__ = [
-    "DesignParams",
     "CaseOutcome",
     "ScanReport",
-    "complement_params",
     "feasible_candidates",
     "cube_prefilter",
     "scan_case",
     "scan_all",
+    "bound_table",
     "bound_tables",
     "ELIMINATED",
     "SURVIVOR",
@@ -68,42 +67,6 @@ _STAGE = {NO_K_DIVISOR: 0, LAMBDA_BOUND_FAIL: 1, SQUARE_FAIL: 2, SUBDEG_FAIL: 3}
 # parameter triples of the known flag-transitive point-primitive designs,
 # all at q=2
 KNOWN_DESIGN_PARAMS = frozenset({(45, 12, 3), (40, 27, 18), (36, 15, 6)})
-
-
-@dataclass(frozen=True)
-class DesignParams:
-    """A symmetric (v, k, lambda) parameter triple.
-
-    Construction re-checks the arithmetic identities, so any triple that
-    escapes the sieve is sound independently of the search path.
-    """
-
-    v: int
-    k: int
-    lam: int
-
-    def __post_init__(self) -> None:
-        v, k, lam = self.v, self.k, self.lam
-        if not 2 < k < v - 1:
-            raise ValueError(f"nontriviality 2 < k < v-1 fails for {(v, k, lam)}")
-        if k * (k - 1) != lam * (v - 1):
-            raise ValueError(f"k(k-1) = lambda(v-1) fails for {(v, k, lam)}")
-        if lam * v >= k * k:
-            raise ValueError(f"lambda*v < k^2 fails for {(v, k, lam)}")
-        if not is_perfect_square(4 * lam * (v - 1) + 1):
-            raise ValueError(f"4*lambda*(v-1)+1 is not a square for {(v, k, lam)}")
-
-    def triple(self) -> tuple[int, int, int]:
-        return (self.v, self.k, self.lam)
-
-    def __str__(self) -> str:
-        return f"({self.v},{self.k},{self.lam})"
-
-
-def complement_params(params: DesignParams) -> DesignParams:
-    """Parameters of the complementary design: (v, v-k, v-2k+lambda)."""
-    v, k, lam = params.triple()
-    return DesignParams(v, v - k, v - 2 * k + lam)
 
 
 @dataclass
@@ -377,10 +340,65 @@ def _cap(holds, p: int) -> int:
     return best
 
 
-def bound_tables() -> dict[str, dict]:
-    """Recompute the golden bound tables from the catalog and inequalities.
+def _table3() -> dict:
+    rows = {}
+    for x in (2, 3, 4, 5, 8):
+        q = PrimePower.from_value(x)
+        case = case_for(4, q)
+        rows[x] = {"v": case.point_count(q), "k_divides": case.k_divisor_bound(q)}
+    return {"rows": rows}
 
-    Keys are the table ids used by the ``tables`` CLI command:
+
+# tables 4, 6 and 8 stop at the ceiling: a prime above it fails at every
+# exponent
+def _table4() -> dict:
+    return {"caps": {p: c for p in primes_up_to(_Q_CEILING) if (c := _cap(_t4_holds, p))}}
+
+
+def _table6() -> dict:
+    return {"caps": {p: c for p in primes_up_to(_Q_CEILING) if (c := _cap(_t6_holds, p))}}
+
+
+def _table7() -> dict:
+    # the cut-off is one-sided: a_max is the largest exponent where the
+    # inequality holds, and every 1 < a <= a_max is tabulated
+    rows = {}
+    for a in range(2, _cap(_t7_holds, 2) + 1):
+        x = 2**a
+        rows[x] = {
+            "v": x * x * (x**3 + 1),
+            "m_bound": math.gcd(5, x - 2) * a,
+        }
+    return {"rows": rows}
+
+
+def _table8() -> dict:
+    # the s = gcd(q+2,5)*gcd(q-1,7) factor makes pass/fail non-monotone in p,
+    # so every odd prime below the ceiling is tried
+    return {"caps": {p: c for p in primes_up_to(_Q_CEILING)[1:] if (c := _cap(_t8_holds, p))}}
+
+
+def _table9() -> dict:
+    lines = {}
+    for line in range(11, 17):
+        passing = []
+        for p in primes_up_to(200):
+            q = PrimePower.of(p, 1)
+            if any(c.line == line for c in catalog.cases_for(q)) and cube_prefilter(line, q):
+                passing.append(p)
+        lines[line] = passing
+    return {"lines": lines}
+
+
+_TABLES = {
+    "3": _table3, "4": _table4, "6": _table6, "7": _table7, "8": _table8, "9": _table9,
+}
+
+
+def bound_table(tid: str) -> dict:
+    """Recompute one golden bound table from the catalog and inequalities.
+
+    The ids are those of the ``tables`` CLI command:
       "3" - (v, k-bound) of line 4 at q in {2,3,4,5,8}
       "4" - (p, max a) caps for line 5
       "6" - (p, max a) caps for line 6
@@ -388,44 +406,9 @@ def bound_tables() -> dict[str, dict]:
       "8" - (p, max a) caps for line 8 with q odd
       "9" - cube-prefilter survivors per fixed-group line
     """
-    tables: dict[str, dict] = {}
+    return _TABLES[tid]()
 
-    rows3 = {}
-    for x in (2, 3, 4, 5, 8):
-        q = PrimePower.from_value(x)
-        case = case_for(4, q)
-        rows3[x] = {"v": case.point_count(q), "k_divides": case.k_divisor_bound(q)}
-    tables["3"] = {"rows": rows3}
 
-    # a prime above the ceiling fails at every exponent
-    primes = primes_up_to(_Q_CEILING)
-    tables["4"] = {"caps": {p: c for p in primes if (c := _cap(_t4_holds, p))}}
-    tables["6"] = {"caps": {p: c for p in primes if (c := _cap(_t6_holds, p))}}
-
-    # the cut-off is one-sided: a_max is the largest exponent where the
-    # inequality holds, and every 1 < a <= a_max is tabulated
-    a_max7 = _cap(_t7_holds, 2)
-    rows7 = {}
-    for a in range(2, a_max7 + 1):
-        x = 2**a
-        rows7[x] = {
-            "v": x * x * (x**3 + 1),
-            "m_bound": math.gcd(5, x - 2) * a,
-        }
-    tables["7"] = {"rows": rows7}
-
-    # the s = gcd(q+2,5)*gcd(q-1,7) factor makes pass/fail non-monotone in p,
-    # so every odd prime below the ceiling is tried
-    tables["8"] = {"caps": {p: c for p in primes[1:] if (c := _cap(_t8_holds, p))}}
-
-    lines9 = {}
-    for line in range(11, 17):
-        passing = []
-        for p in primes_up_to(200):
-            q = PrimePower.of(p, 1)
-            if any(c.line == line for c in catalog.cases_for(q)) and cube_prefilter(line, q):
-                passing.append(p)
-        lines9[line] = passing
-    tables["9"] = {"lines": lines9}
-
-    return tables
+def bound_tables() -> dict[str, dict]:
+    """Every bound table, keyed by id (see ``bound_table``)."""
+    return {tid: table() for tid, table in _TABLES.items()}

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import psu4designs
 from psu4designs import cli
 from psu4designs.designs import build, relabel, write_design
 
@@ -219,3 +224,46 @@ def test_sieve_31_3_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "6466f1a048cfede98156ca6cfe0c79bbc2beccf29f6a4f8ed29257272b274435"
     )
+
+
+# Run in a fresh interpreter: ``cli.main(argv)`` with stdout muted (or, for
+# an empty argv, a bare import of ``designs``), then print the exit code and
+# the psu4designs modules that got loaded.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+code = None
+with contextlib.redirect_stdout(io.StringIO()):
+    if argv:
+        from psu4designs import cli
+        code = cli.main(argv)
+    else:
+        import psu4designs.designs
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("psu4designs."))]))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["tables", "--table", "3"], {"sieve"}, {"permgroup"}),
+    (["sieve", "--line", "8", "--pmax", "2", "--amax", "1"], {"sieve"}, {"permgroup"}),
+    (["construct", "pg33"], {"designs"}, {"sieve", "catalog", "permgroup"}),
+    (["verify", "DESIGN"], {"designs"}, {"sieve", "catalog", "permgroup"}),
+    (["iso", "DESIGN", "DESIGN"], {"designs"}, {"sieve", "catalog", "permgroup"}),
+    (["group", "--design", "higman40", "--complement", "--check", "flagtrans"],
+     {"permgroup"}, {"sieve", "catalog"}),
+    ([], {"designs"}, {"sieve", "catalog"}),
+], ids=["tables", "sieve", "construct", "verify", "iso", "group", "import-designs"])
+def test_import_footprint(tmp_path, argv, loaded, absent):
+    """Each subcommand loads only the leg it runs."""
+    design = tmp_path / "pg33.des"
+    write_design(build("pg33"), str(design))
+    argv = [str(design) if a == "DESIGN" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(psu4designs.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+    )
+    code, modules = json.loads(proc.stdout)
+    names = {m.removeprefix("psu4designs.") for m in modules}
+    assert code == (0 if argv else None)
+    assert loaded <= names and not absent & names, sorted(names)

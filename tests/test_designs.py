@@ -23,7 +23,7 @@ from psu4designs.designs import (
     write_design,
     _pair_profiles,
 )
-from psu4designs.sieve import DesignParams
+from psu4designs.exactmath import DesignParams
 
 EXPECTED_PARAMS = {
     "menon36": (36, 15, 6),

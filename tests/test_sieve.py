@@ -4,7 +4,7 @@ import pytest
 from helpers import brute_force_candidates, divisor_scan, exhaustive_cap
 
 from psu4designs.catalog import case_for
-from psu4designs.exactmath import PrimePower, primes_up_to
+from psu4designs.exactmath import DesignParams, PrimePower, primes_up_to
 from psu4designs.sieve import (
     CUBE_PREFILTER,
     ELIMINATED,
@@ -12,9 +12,8 @@ from psu4designs.sieve import (
     SURVIVOR,
     TITS_FAIL,
     UNRESOLVED,
-    DesignParams,
+    bound_table,
     bound_tables,
-    complement_params,
     cube_prefilter,
     feasible_candidates,
     scan_all,
@@ -84,15 +83,6 @@ def test_design_params_validation():
         DesignParams(36, 35, 34)  # k = v-1 trivial
     with pytest.raises(ValueError):
         DesignParams(45, 12, 4)
-
-
-def test_complement_params():
-    comp = complement_params(DesignParams(45, 12, 3))
-    assert comp.triple() == (45, 33, 24)
-    assert complement_params(comp).triple() == (45, 12, 3)
-    for base in ((36, 15, 6), (40, 27, 18)):
-        comp = complement_params(DesignParams(*base))
-        assert comp.k * (comp.k - 1) == comp.lam * (comp.v - 1)
 
 
 def test_cube_prefilter():
@@ -195,6 +185,13 @@ def test_oracle_agreement_samples():
         got = triples(feasible_candidates(v, kb, subdeg, q.p, case.parabolic))
         want = brute_force_candidates(v, kb, subdeg, q.p, case.parabolic)
         assert got == want, (line, q.q)
+
+
+def test_bound_table_is_its_entry_of_bound_tables():
+    tables = bound_tables()
+    assert sorted(tables) == ["3", "4", "6", "7", "8", "9"]
+    for tid, table in tables.items():
+        assert bound_table(tid) == table, tid
 
 
 def test_bound_tables_shapes():
