@@ -14,8 +14,7 @@ the machine-checkable consistency criterion, and the closed forms in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exactmath import PrimePower
 
@@ -149,8 +148,7 @@ def _applies(line: int, q: PrimePower) -> bool:
     raise ValueError(f"no case line {line}")
 
 
-@dataclass(frozen=True)
-class SubgroupCase:
+class SubgroupCase(NamedTuple):
     """One case line, optionally bound to a subfield decomposition (line 7)."""
 
     line: int

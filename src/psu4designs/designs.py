@@ -16,11 +16,10 @@ makes the polarity explicit and the incidence matrix symmetric;
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import add
 from struct import calcsize
 from sys import byteorder
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import geometry
 from .geometry import ISOTROPIC, NONSQUARE_TYPE, SQUARE_TYPE
@@ -55,19 +54,23 @@ KIND_POINT_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
-    """Points 0..v-1 and blocks as sorted index tuples, in construction order."""
-
+class _IncidenceStructure(NamedTuple):
     v: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        for b, block in enumerate(self.blocks):
-            if any(not 0 <= i < self.v for i in block):
+
+class IncidenceStructure(_IncidenceStructure):
+    """Points 0..v-1 and blocks as sorted index tuples, in construction order."""
+
+    __slots__ = ()
+
+    def __new__(cls, v: int, blocks: tuple[tuple[int, ...], ...]) -> IncidenceStructure:
+        for b, block in enumerate(blocks):
+            if any(not 0 <= i < v for i in block):
                 raise ValueError(f"block {b} has an out-of-range point index")
             if any(x >= y for x, y in zip(block, block[1:])):
                 raise ValueError(f"block {b} is not strictly sorted")
+        return super().__new__(cls, v, blocks)
 
     def point_masks(self) -> list[int]:
         """Per point, the bitmask of blocks containing it."""
@@ -89,8 +92,7 @@ class IncidenceStructure:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationFailure:
+class VerificationFailure(NamedTuple):
     """The first violated symmetric-design axiom, with a witness."""
 
     axiom: str
@@ -100,8 +102,7 @@ class VerificationFailure:
         return f"{self.axiom} violated at {self.witness}"
 
 
-@dataclass(frozen=True)
-class VerifiedDesign:
+class VerifiedDesign(NamedTuple):
     """An incidence structure paired with its checked parameters."""
 
     structure: "IncidenceStructure"

@@ -9,9 +9,9 @@ precision; the sieve routinely builds stabiliser orders and k-bounds in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
+from typing import NamedTuple
 
 __all__ = [
     "PrimePower",
@@ -93,20 +93,26 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
-
+# The package's records are NamedTuples.  A record with checks subclasses a
+# private NamedTuple base, as a NamedTuple body may not define ``__new__``.
+class _Factorization(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+
+class Factorization(_Factorization):
+    """Canonical prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]) -> Factorization:
         last = 1
-        for p, e in self.pairs:
+        for p, e in pairs:
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
                 raise ValueError("exponents must be >= 1")
             last = p
+        return super().__new__(cls, pairs)
 
     @property
     def value(self) -> int:
@@ -154,20 +160,22 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class _DesignParams(NamedTuple):
+    v: int
+    k: int
+    lam: int
+
+
+class DesignParams(_DesignParams):
     """A symmetric (v, k, lambda) parameter triple.
 
     Construction re-checks the arithmetic identities, so any triple that
     escapes the sieve is sound independently of the search path.
     """
 
-    v: int
-    k: int
-    lam: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v, k, lam = self.v, self.k, self.lam
+    def __new__(cls, v: int, k: int, lam: int) -> DesignParams:
         if not 2 < k < v - 1:
             raise ValueError(f"nontriviality 2 < k < v-1 fails for {(v, k, lam)}")
         if k * (k - 1) != lam * (v - 1):
@@ -176,6 +184,7 @@ class DesignParams:
             raise ValueError(f"lambda*v < k^2 fails for {(v, k, lam)}")
         if not is_perfect_square(4 * lam * (v - 1) + 1):
             raise ValueError(f"4*lambda*(v-1)+1 is not a square for {(v, k, lam)}")
+        return super().__new__(cls, v, k, lam)
 
     def triple(self) -> tuple[int, int, int]:
         return (self.v, self.k, self.lam)
@@ -184,21 +193,25 @@ class DesignParams:
         return f"({self.v},{self.k},{self.lam})"
 
 
-@dataclass(frozen=True, order=True)
-class PrimePower:
-    """A prime power q = p^a; ordering is by value."""
-
+class _PrimePower(NamedTuple):
     q: int
     p: int
     a: int
 
-    def __post_init__(self) -> None:
-        if self.a < 1:
+
+class PrimePower(_PrimePower):
+    """A prime power q = p^a; ordering is by value."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, p: int, a: int) -> PrimePower:
+        if a < 1:
             raise ValueError("exponent must be >= 1")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.q != self.p**self.a:
-            raise ValueError(f"{self.q} != {self.p}^{self.a}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if q != p**a:
+            raise ValueError(f"{q} != {p}^{a}")
+        return super().__new__(cls, q, p, a)
 
     @classmethod
     def of(cls, p: int, a: int) -> "PrimePower":

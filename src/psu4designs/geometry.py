@@ -15,7 +15,7 @@ F_2 need separate machinery none of the constructions use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactmath import is_prime
 
@@ -40,15 +40,19 @@ SQUARE_TYPE = "square_type"
 NONSQUARE_TYPE = "nonsquare_type"
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """F_p for prime p <= 257."""
-
+class _PrimeField(NamedTuple):
     p: int
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p > 257:
-            raise ValueError(f"need a prime modulus <= 257, got {self.p}")
+
+class PrimeField(_PrimeField):
+    """F_p for prime p <= 257."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int) -> PrimeField:
+        if not is_prime(p) or p > 257:
+            raise ValueError(f"need a prime modulus <= 257, got {p}")
+        return super().__new__(cls, p)
 
     def inv(self, x: int) -> int:
         if x % self.p == 0:
@@ -66,8 +70,7 @@ def _normalize(vec: tuple[int, ...], p: int) -> tuple[int, ...]:
     raise ValueError("zero vector has no projective normal form")
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """A 1-dimensional subspace, stored by its normal-form representative."""
 
     coords: tuple[int, ...]
@@ -92,26 +95,33 @@ def projective_points(dim: int, p: int) -> list[ProjectivePoint]:
     return [ProjectivePoint(c) for c in sorted(seen)]
 
 
-@dataclass(frozen=True)
-class QuadraticSpace:
-    """A nondegenerate symmetric bilinear form over F_p, p odd."""
-
+class _QuadraticSpace(NamedTuple):
     field: PrimeField
     dim: int
     gram: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        p = self.field.p
+
+class QuadraticSpace(_QuadraticSpace):
+    """A nondegenerate symmetric bilinear form over F_p, p odd."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, field: PrimeField, dim: int, gram: tuple[tuple[int, ...], ...]
+    ) -> QuadraticSpace:
+        p = field.p
         if p == 2:
             raise ValueError("characteristic 2 is not supported")
-        if len(self.gram) != self.dim or any(len(row) != self.dim for row in self.gram):
+        if len(gram) != dim or any(len(row) != dim for row in gram):
             raise ValueError("Gram matrix shape does not match dim")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.gram[i][j] % p != self.gram[j][i] % p:
+        for i in range(dim):
+            for j in range(dim):
+                if gram[i][j] % p != gram[j][i] % p:
                     raise ValueError("Gram matrix must be symmetric")
+        self = super().__new__(cls, field, dim, gram)
         if self._det() % p == 0:
             raise ValueError("Gram matrix is degenerate")
+        return self
 
     def _det(self) -> int:
         # Gaussian elimination mod p

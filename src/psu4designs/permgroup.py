@@ -8,8 +8,7 @@ chain implementation would be called for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import geometry
 from .designs import IncidenceStructure, flags
@@ -62,16 +61,20 @@ def _check_perm(p: Sequence[int], n: int) -> None:
         raise ValueError("not a permutation of 0..n-1")
 
 
-@dataclass(frozen=True)
-class PermutationAction:
-    """Generators acting on {0..degree-1}."""
-
+class _PermutationAction(NamedTuple):
     degree: int
     generators: tuple[Permutation, ...]
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            _check_perm(g, self.degree)
+
+class PermutationAction(_PermutationAction):
+    """Generators acting on {0..degree-1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, generators: tuple[Permutation, ...]) -> PermutationAction:
+        for g in generators:
+            _check_perm(g, degree)
+        return super().__new__(cls, degree, generators)
 
 
 def induce(
@@ -171,8 +174,7 @@ def _schreier_generators(
     return sorted(out)
 
 
-@dataclass
-class StabilizerChain:
+class StabilizerChain(NamedTuple):
     """Base points with their transversals, and the group order."""
 
     base: tuple[int, ...]

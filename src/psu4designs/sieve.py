@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from math import isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import catalog
 from .catalog import SubgroupCase, case_for, cases_for, out_order, socle_order
@@ -69,8 +68,7 @@ _STAGE = {NO_K_DIVISOR: 0, LAMBDA_BOUND_FAIL: 1, SQUARE_FAIL: 2, SUBDEG_FAIL: 3}
 KNOWN_DESIGN_PARAMS = frozenset({(45, 12, 3), (40, 27, 18), (36, 15, 6)})
 
 
-@dataclass
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     candidates: list[tuple[DesignParams, dict]]
     rejections: dict[str, int]
     tits_violated: bool = False
@@ -148,8 +146,7 @@ def cube_prefilter(line: int, q: PrimePower) -> bool:
     return socle_order(q) <= out_order(q) ** 2 * case.h0_order(q) ** 3
 
 
-@dataclass
-class CaseOutcome:
+class CaseOutcome(NamedTuple):
     """Elimination certificate or candidate list for one (case, q) pair."""
 
     line: int
@@ -159,7 +156,7 @@ class CaseOutcome:
     status: str
     reason: Optional[str]
     candidates: list[tuple[DesignParams, dict]]
-    rejections: dict[str, int] = field(default_factory=dict)
+    rejections: dict[str, int]
     subfield: Optional[tuple[PrimePower, int]] = None
 
     def sort_key(self) -> tuple:
@@ -214,8 +211,7 @@ def _scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
     )
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     """All case outcomes over a (p, a) range, with aggregate candidate lists.
 
     Each outcome is a pure function of its own (line, q), so the report is

@@ -227,8 +227,9 @@ def test_sieve_31_3_bytes_pinned(tmp_path, capsys):
 
 
 # Run in a fresh interpreter: ``cli.main(argv)`` with stdout muted (or, for
-# an empty argv, a bare import of ``designs``), then print the exit code and
-# the psu4designs modules that got loaded.
+# an empty argv, a bare import of ``designs``), then print the exit code, the
+# psu4designs modules that got loaded, and which of the slow-to-import
+# ``dataclasses`` and ``inspect`` got loaded.
 _FOOTPRINT = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -239,7 +240,11 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     else:
         import psu4designs.designs
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("psu4designs."))]))
+print(json.dumps([
+    code,
+    sorted(m for m in sys.modules if m.startswith("psu4designs.")),
+    sorted({"dataclasses", "inspect"} & set(sys.modules)),
+]))
 """
 
 
@@ -254,7 +259,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("psu4desig
     ([], {"designs"}, {"sieve", "catalog"}),
 ], ids=["tables", "sieve", "construct", "verify", "iso", "group", "import-designs"])
 def test_import_footprint(tmp_path, argv, loaded, absent):
-    """Each subcommand loads only the leg it runs."""
+    """Each subcommand loads only the leg it runs, and none loads
+    ``dataclasses`` or ``inspect``."""
     design = tmp_path / "pg33.des"
     write_design(build("pg33"), str(design))
     argv = [str(design) if a == "DESIGN" else a for a in argv]
@@ -263,7 +269,8 @@ def test_import_footprint(tmp_path, argv, loaded, absent):
         [sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
         capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
     )
-    code, modules = json.loads(proc.stdout)
+    code, modules, slow = json.loads(proc.stdout)
     names = {m.removeprefix("psu4designs.") for m in modules}
     assert code == (0 if argv else None)
     assert loaded <= names and not absent & names, sorted(names)
+    assert slow == []

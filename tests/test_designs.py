@@ -149,6 +149,44 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     assert err.value.lineno == lineno
 
 
+# Small incidence structures: v points and up to 10 sorted blocks, empty
+# blocks included.
+_STRUCTURES = st.integers(min_value=1, max_value=12).flatmap(
+    lambda v: st.lists(
+        st.sets(st.integers(min_value=0, max_value=v - 1)).map(lambda s: tuple(sorted(s))),
+        max_size=10,
+    ).map(lambda blocks: IncidenceStructure(v, tuple(blocks)))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(d=_STRUCTURES)
+def test_format_parse_roundtrip_property(d):
+    assert parse_design(format_design(d)) == d
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    d=_STRUCTURES,
+    data=st.data(),
+    noise=st.text(alphabet="0123456789 -+x\t\n", max_size=4),
+)
+def test_parse_rejects_only_with_format_error(d, data, noise):
+    """A valid file with a few characters replaced by noise either parses
+    or raises DesignFormatError with a line number inside the text."""
+    text = format_design(d)
+    at = data.draw(st.integers(min_value=0, max_value=len(text)))
+    cut = data.draw(st.integers(min_value=0, max_value=3))
+    text = text[:at] + noise + text[at + cut:]
+    try:
+        parsed = parse_design(text)
+    except DesignFormatError as exc:
+        assert 1 <= exc.lineno <= text.count("\n") + 2
+        assert str(exc).startswith(f"line {exc.lineno}: ")
+    else:
+        assert parse_design(format_design(parsed)) == parsed
+
+
 def test_two_40_27_18_designs_not_isomorphic(built):
     assert find_isomorphism(complement(built["pg33"]), complement(built["higman40"])) is None
     assert find_isomorphism(built["pg33"], built["higman40"]) is None

@@ -1,7 +1,9 @@
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psu4designs.exactmath import (
     Factorization,
@@ -35,6 +37,23 @@ def test_factorize_reconstructs_random():
         assert f.value == n
         assert all(is_prime(p) for p, _ in f.pairs)
         assert all(e >= 1 for _, e in f.pairs)
+
+
+# Any n < 2^64, and products of small factors, so repeated primes are common.
+_FACTORIZE_INPUTS = st.one_of(
+    st.integers(min_value=1, max_value=2**64),
+    st.lists(st.integers(min_value=2, max_value=10**5), max_size=8).map(prod),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=_FACTORIZE_INPUTS)
+def test_factorize_property(n):
+    f = factorize(n)
+    assert prod(p**e for p, e in f.pairs) == n
+    primes = [p for p, _ in f.pairs]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(p) for p in primes) and all(e >= 1 for _, e in f.pairs)
 
 
 def test_factorize_large_semiprime():
