@@ -16,7 +16,7 @@ makes the polarity explicit and the incidence matrix symmetric;
 from __future__ import annotations
 
 from collections import Counter
-from operator import add
+from operator import add, mul
 from struct import calcsize
 from sys import byteorder
 from typing import NamedTuple, Optional, Union
@@ -123,10 +123,14 @@ def build(kind: str) -> IncidenceStructure:
     if kind not in KIND_POINT_CLASS:
         raise ValueError(f"unknown design kind {kind!r}; expected one of {KINDS}")
     space = geometry.design_space()
-    points = geometry.class_points(KIND_POINT_CLASS[kind])
+    p = space.field.p
+    points = [pt.coords for pt in geometry.class_points(KIND_POINT_CLASS[kind])]
+    # B(x, y) is the dot product of y with x's Gram row x^T G
+    columns = tuple(zip(*space.gram))
+    grams = [tuple(sum(map(mul, x, col)) for col in columns) for x in points]
     blocks = tuple(
-        tuple(j for j, y in enumerate(points) if space.bilinear(x, y) == 0)
-        for x in points
+        tuple(j for j, y in enumerate(points) if not sum(map(mul, gx, y)) % p)
+        for gx in grams
     )
     return IncidenceStructure(len(points), blocks)
 
@@ -218,12 +222,24 @@ def is_isomorphism(
 # largest replication number, so its width comes from the input, never a
 # fixed byte: with one-byte fields, 300 copies of a block read as 44.  The
 # b block products are kept for the whole call, b * v^2 fields.
+#
+# Each design's profiles come back as an int code matrix and the list of
+# the distinct profiles, so the two designs are matched on their few
+# distinct profiles, not on v^2 nested tuples.  The edge ids rank d1's
+# profiles.  A profile of d2 that d1 lacks ends the search with None: the
+# root refinement would reject it anyway, because the points of d2 on such
+# a pair have a code that no point of d1 has.  Otherwise d2's profiles are
+# among d1's, the ranks are the ranks over both designs, and the search
+# runs on the same edge ids.
 # ---------------------------------------------------------------------------
 
 
-def _pair_profiles(design: IncidenceStructure) -> list[list[tuple]]:
-    """Per point pair (x, y), (lambda_xy, sorted histogram of the triple
-    counts over z != x, y); the diagonal is (-1, ()).
+def _pair_profiles(design: IncidenceStructure) -> tuple[list[list[int]], list[tuple]]:
+    """The pair profiles as a v x v code matrix and the profiles it indexes.
+
+    Code c at (x, y) stands for keys[c], the pair (lambda_xy, sorted
+    histogram of the triple counts over z != x, y).  The diagonal is code 0,
+    whose key (-1, ()) sorts below any real profile.
 
     Memory: the b outer products are held at once, b * v^2 fields of the
     smallest of 1, 2, 4, 8 bytes that holds the largest replication number
@@ -244,45 +260,67 @@ def _pair_profiles(design: IncidenceStructure) -> list[list[tuple]]:
         sum(map(rows.__getitem__, block)) * sum(map(cols.__getitem__, block))
         for block in design.blocks
     ]
-    memo: dict[tuple, tuple] = {}
-    prof: list[list[Optional[tuple]]] = [[None] * n for _ in range(n)]
+    memo: dict[tuple, int] = {}
+    keys: list[tuple] = [(-1, ())]
+    codes = [[0] * n for _ in range(n)]
     for x in range(n):
-        prof[x][x] = (-1, ())  # diagonal marker, below any real profile
         triples = sum(map(outer.__getitem__, through[x])).to_bytes(size * n * n, byteorder)
         fields = memoryview(triples).cast(fmt)
+        codes_x = codes[x]
         for y in range(x + 1, n):
             # row y of x's matrix: fields x and y are lambda_xy itself, the
             # two entries the histogram leaves out
             row = fields[y * n:(y + 1) * n]
             lam = row[x]
             seen = (lam, tuple(sorted(row)))
-            key = memo.get(seen)
-            if key is None:
+            code = memo.get(seen)
+            if code is None:
                 hist = Counter(row)
                 hist[lam] -= 2
                 if not hist[lam]:
                     del hist[lam]
-                key = memo[seen] = (lam, tuple(sorted(hist.items())))
-            prof[x][y] = prof[y][x] = key
-    return prof
+                code = memo[seen] = len(keys)
+                keys.append((lam, tuple(sorted(hist.items()))))
+            codes_x[y] = codes[y][x] = code
+    return codes, keys
+
+
+def _edge_codes(
+    d1: IncidenceStructure, d2: IncidenceStructure
+) -> Optional[tuple[list[list[int]], list[list[int]]]]:
+    """Per design, e * v at (x, y), e the rank of the pair's profile among
+    d1's profiles; None when d2 has a profile that d1 lacks."""
+    n = d1.v
+    codes1, keys1 = _pair_profiles(d1)
+    codes2, keys2 = _pair_profiles(d2)
+    rank = {k: i * n for i, k in enumerate(sorted(keys1))}
+    if not rank.keys() >= set(keys2):
+        return None
+
+    def scaled(codes: list[list[int]], keys: list[tuple]) -> list[list[int]]:
+        en = list(map(rank.__getitem__, keys))
+        return [list(map(en.__getitem__, row)) for row in codes]
+
+    return scaled(codes1, keys1), scaled(codes2, keys2)
 
 
 class _IsoSearch:
     """Joint individualisation-refinement over two equal-size designs."""
 
-    def __init__(self, d1: IncidenceStructure, d2: IncidenceStructure) -> None:
+    def __init__(
+        self,
+        d1: IncidenceStructure,
+        d2: IncidenceStructure,
+        en1: list[list[int]],
+        en2: list[list[int]],
+    ) -> None:
         self.n = d1.v
         self.d1 = d1
         self.d2 = d2
         self.masks1 = d1.point_masks()
         self.masks2 = d2.point_masks()
-        prof1 = _pair_profiles(d1)
-        prof2 = _pair_profiles(d2)
-        keys = {k for row in prof1 for k in row} | {k for row in prof2 for k in row}
-        ids = {k: i for i, k in enumerate(sorted(keys))}
-        n = self.n
-        self.en1 = [[ids[k] * n for k in row] for row in prof1]
-        self.en2 = [[ids[k] * n for k in row] for row in prof2]
+        self.en1 = en1
+        self.en2 = en2
 
     def _renumber(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
         if sorted(sig1) != sorted(sig2):
@@ -299,6 +337,11 @@ class _IsoSearch:
         # (its (-1, ()) sorts below every real profile), so y = x adds the
         # leading item (col[x], 1) and nothing else: two signatures are equal,
         # and sort, as the pairs (col[x], {(e, c) over y != x}) do.
+        # Points are grouped by their sorted code tuple, which determines the
+        # signature and is determined by it, so the (code, count) items are
+        # built once per class, not once per point; a Counter of a sorted
+        # tuple lists its items in code order.  The new ids rank the classes
+        # by signature, as ranking every point's signature did.
         # A discrete colouring is returned as it is.  A further round could
         # not change its ids, only fail; and if it fails, the bijection the
         # colouring fixes maps some pair to a pair with another edge id, so
@@ -306,13 +349,15 @@ class _IsoSearch:
         en1, en2 = self.en1, self.en2
         classes = len(set(col1))
         while classes < self.n:
-            sig1 = [tuple(sorted(Counter(map(add, row, col1)).items())) for row in en1]
-            sig2 = [tuple(sorted(Counter(map(add, row, col2)).items())) for row in en2]
-            renumbered = self._renumber(sig1, sig2)
-            if renumbered is None:
+            keys1 = [tuple(sorted(map(add, row, col1))) for row in en1]
+            keys2 = [tuple(sorted(map(add, row, col2))) for row in en2]
+            if sorted(keys1) != sorted(keys2):
                 return None
-            col1, col2 = renumbered
-            before, classes = classes, len(set(col1))
+            sigs = {k: tuple(Counter(k).items()) for k in set(keys1)}
+            ids = {k: i for i, k in enumerate(sorted(sigs, key=sigs.__getitem__))}
+            col1 = list(map(ids.__getitem__, keys1))
+            col2 = list(map(ids.__getitem__, keys2))
+            before, classes = classes, len(ids)
             if classes == before:
                 break
         return col1, col2
@@ -392,7 +437,10 @@ def find_isomorphism(
         return None
     if sorted(map(len, d1.blocks)) != sorted(map(len, d2.blocks)):
         return None
-    searcher = _IsoSearch(d1, d2)
+    codes = _edge_codes(d1, d2)
+    if codes is None:
+        return None
+    searcher = _IsoSearch(d1, d2, *codes)
     start = searcher._refine([0] * n, [0] * n)
     if start is None:
         return None

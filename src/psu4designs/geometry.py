@@ -144,15 +144,15 @@ class QuadraticSpace(_QuadraticSpace):
         return det % p
 
     def bilinear(self, x, y) -> int:
-        p = self.field.p
+        gram = self.gram
         xc = x.coords if isinstance(x, ProjectivePoint) else x
         yc = y.coords if isinstance(y, ProjectivePoint) else y
         total = 0
         for i, xi in enumerate(xc):
             if xi:
-                row = self.gram[i]
+                row = gram[i]
                 total += xi * sum(row[j] * yj for j, yj in enumerate(yc) if yj)
-        return total % p
+        return total % self.field.p
 
     def form(self, x) -> int:
         return self.bilinear(x, x)

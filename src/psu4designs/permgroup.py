@@ -8,6 +8,7 @@ chain implementation would be called for.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import geometry
@@ -87,18 +88,24 @@ def induce(
     identity; a matrix moving any point out of the set is rejected."""
     if not points:
         raise ValueError("empty point list")
-    index = {pt.coords: i for i, pt in enumerate(points)}
-    dim = len(points[0].coords)
+    # Every nonzero multiple of a listed normal form names its point, so an
+    # image is looked up without normalising it.  Other coordinate tuples
+    # are no normal form, so no normalised image ever matched them.
+    coords = [pt.coords for pt in points]
+    index = {}
+    for i, c in enumerate(coords):
+        if any(c) and all(0 <= x < p for x in c) and next(filter(None, c)) == 1:
+            for s in range(1, p):
+                index[tuple(x * s % p for x in c)] = i
     gens = []
     for m in matrices:
         images = []
-        for pt in points:
-            w = tuple(
-                sum(m[i][j] * pt.coords[j] for j in range(dim)) % p for i in range(dim)
-            )
-            nf = geometry.ProjectivePoint.from_vector(w, p).coords
-            j = index.get(nf)
+        for pt, c in zip(points, coords):
+            w = tuple(sum(map(mul, row, c)) % p for row in m)
+            j = index.get(w)
             if j is None:
+                if not any(w):
+                    raise ValueError("zero vector has no projective normal form")
                 raise ValueError(f"matrix maps {pt} outside the point set")
             images.append(j)
         gens.append(tuple(images))

@@ -22,16 +22,29 @@ profiles and the refinement as ``designs`` computed them from point masks
 and (edge id, colour) tuples, before packed triple-count rows and integer
 codes; ``reference_find_isomorphism`` runs the search on them, so
 agreement checks the profiles, the colour ids and the witness.
+
+``CounterRefineIsoSearch`` is the search as it refined before colour
+classes were keyed by sorted code tuples: it counts every point's
+(code, count) signature and hashes nested profile tuples to rank the edge
+ids.  ``reference_build`` and ``reference_induce`` are ``designs.build`` and
+``permgroup.induce`` as they read the bilinear form and normalised each
+image, before Gram-row dot products and the table of point multiples.
 """
 
 from collections import Counter
 from math import gcd, isqrt
+from operator import add
 from typing import Optional
 
 from psu4designs import geometry
-from psu4designs.designs import IncidenceStructure, _IsoSearch
+from psu4designs.designs import (
+    KIND_POINT_CLASS,
+    KINDS,
+    IncidenceStructure,
+    _IsoSearch,
+)
 from psu4designs.exactmath import factorize
-from psu4designs.permgroup import induce
+from psu4designs.permgroup import PermutationAction, induce
 
 
 def brute_force_candidates(v, k_bound, subdeg, p, parabolic, k_cap=10**6):
@@ -193,3 +206,76 @@ def reference_find_isomorphism(d1, d2):
     if start is None:
         return None
     return searcher.search(*start)
+
+
+class CounterRefineIsoSearch(_IsoSearch):
+    """The search with the edge codes and refinement that counted a
+    (code, count) signature for every point; individualisation, branching
+    and witness extraction are inherited."""
+
+    def __init__(self, d1: IncidenceStructure, d2: IncidenceStructure) -> None:
+        self.n = d1.v
+        self.d1 = d1
+        self.d2 = d2
+        self.masks1 = d1.point_masks()
+        self.masks2 = d2.point_masks()
+        prof1 = reference_pair_profiles(d1)
+        prof2 = reference_pair_profiles(d2)
+        keys = {k for row in prof1 for k in row} | {k for row in prof2 for k in row}
+        ids = {k: i for i, k in enumerate(sorted(keys))}
+        n = self.n
+        self.en1 = [[ids[k] * n for k in row] for row in prof1]
+        self.en2 = [[ids[k] * n for k in row] for row in prof2]
+
+    def _refine(
+        self, col1: list[int], col2: list[int]
+    ) -> Optional[tuple[list[int], list[int]]]:
+        en1, en2 = self.en1, self.en2
+        classes = len(set(col1))
+        while classes < self.n:
+            sig1 = [tuple(sorted(Counter(map(add, row, col1)).items())) for row in en1]
+            sig2 = [tuple(sorted(Counter(map(add, row, col2)).items())) for row in en2]
+            renumbered = self._renumber(sig1, sig2)
+            if renumbered is None:
+                return None
+            col1, col2 = renumbered
+            before, classes = classes, len(set(col1))
+            if classes == before:
+                break
+        return col1, col2
+
+
+def reference_build(kind: str) -> IncidenceStructure:
+    if kind == "pg33":
+        blocks = tuple(tuple(b) for b in geometry.pg_hyperplanes(4, 3))
+        return IncidenceStructure(40, blocks)
+    if kind not in KIND_POINT_CLASS:
+        raise ValueError(f"unknown design kind {kind!r}; expected one of {KINDS}")
+    space = geometry.design_space()
+    points = geometry.class_points(KIND_POINT_CLASS[kind])
+    blocks = tuple(
+        tuple(j for j, y in enumerate(points) if space.bilinear(x, y) == 0)
+        for x in points
+    )
+    return IncidenceStructure(len(points), blocks)
+
+
+def reference_induce(matrices, points, p):
+    if not points:
+        raise ValueError("empty point list")
+    index = {pt.coords: i for i, pt in enumerate(points)}
+    dim = len(points[0].coords)
+    gens = []
+    for m in matrices:
+        images = []
+        for pt in points:
+            w = tuple(
+                sum(m[i][j] * pt.coords[j] for j in range(dim)) % p for i in range(dim)
+            )
+            nf = geometry.ProjectivePoint.from_vector(w, p).coords
+            j = index.get(nf)
+            if j is None:
+                raise ValueError(f"matrix maps {pt} outside the point set")
+            images.append(j)
+        gens.append(tuple(images))
+    return PermutationAction(len(points), tuple(gens))

@@ -10,7 +10,7 @@ import pytest
 
 import psu4designs
 from psu4designs import cli
-from psu4designs.designs import build, relabel, write_design
+from psu4designs.designs import build, complement, relabel, write_design
 
 
 def run(capsys, *argv):
@@ -172,6 +172,57 @@ def test_iso_witness_pinned(tmp_path, capsys, kinds):
     write_design(build(kind1), str(p1))
     write_design(relabel(d2, perm), str(p2))
     assert run(capsys, "iso", str(p1), str(p2)) == (0, _ISO_PINNED[kinds])
+
+
+# the same for the complements, each against a relabelling seeded
+# "iso:KIND:complement"; computed before colour classes were keyed by
+# sorted code tuples and the pair profiles came back as code matrices
+_ISO_PINNED_COMPLEMENT = {
+    "menon36": "yes\nwitness: 0 2 30 4 16 33 3 27 24 26 22 18 13 14 23 20 9 12 10 32"
+    " 8 34 17 7 11 31 29 19 25 35 5 21 15 6 28 1\n",
+    "minus45": "yes\nwitness: 0 1 12 27 21 17 14 33 44 42 43 8 3 6 7 15 35 4 25 40 34"
+    " 31 19 5 10 28 23 24 16 39 20 36 38 41 37 26 32 18 30 29 22 9 11 2 13\n",
+    "higman40": "yes\nwitness: 0 5 4 3 28 17 39 18 19 20 33 23 21 26 29 15 16 31 1 34"
+    " 6 27 35 2 13 37 12 11 25 30 32 7 22 14 24 38 9 36 10 8\n",
+    "pg33": "yes\nwitness: 0 1 5 30 2 15 28 32 21 33 13 3 18 4 23 38 24 37 39 9 14 34"
+    " 35 25 19 17 8 7 27 29 22 31 6 36 11 20 16 12 26 10\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(_ISO_PINNED_COMPLEMENT))
+def test_iso_complement_witness_pinned(tmp_path, capsys, kind):
+    d = complement(build(kind))
+    perm = list(range(d.v))
+    random.Random(f"iso:{kind}:complement").shuffle(perm)
+    p1, p2 = tmp_path / "a.des", tmp_path / "b.des"
+    write_design(d, str(p1))
+    write_design(relabel(d, perm), str(p2))
+    assert run(capsys, "iso", str(p1), str(p2)) == (0, _ISO_PINNED_COMPLEMENT[kind])
+
+
+# sha256 of each ``construct KIND [--complement] --out PATH`` file, computed
+# before ``build`` took Gram-row dot products
+_CONSTRUCT_SHA256 = {
+    ("menon36", False): "017ac17e88a608f5686c71dffed5b2aa7835a291aa161ef5b914bf13572cac89",
+    ("menon36", True): "c3a666790c127daed8b44342cebf9aac310595bdcb861bc8787ed020730a62e6",
+    ("minus45", False): "a1ebc1ec7a06f7516fe11dd7c3d60cf3b3dc4a568c91eda3850c7fad7d2e7d96",
+    ("minus45", True): "4bbc399abf2093ae8e5c67c635b3a3600dc0ba72239c2b34a9f45035dfc2be01",
+    ("higman40", False): "311d674f65b77d3a941e90d5e718f6a2c0497864f3a0706eef1ecff98bbf57ef",
+    ("higman40", True): "2b97b7628dd3461d4e48b6c3e335b40decac056fbe259c05755772d55d7e0ff0",
+    ("pg33", False): "1b0203b05963eb1d82b7f5dbc6b3192fdcfbf970f667227769a334367fa3b5ef",
+    ("pg33", True): "e55f4aef5c0153f318410a66f108b8d3f968c6915bd212aea11dd09d9830997b",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, comp", list(_CONSTRUCT_SHA256),
+    ids=[f"{k}-{'complement' if c else 'plain'}" for k, c in _CONSTRUCT_SHA256],
+)
+def test_construct_file_pinned(tmp_path, capsys, kind, comp):
+    path = tmp_path / "d.des"
+    code, _ = run(capsys, "construct", kind, *["--complement"] * comp, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _CONSTRUCT_SHA256[kind, comp]
 
 
 _RANK_SIZES = {"menon36": "[1, 15, 20]", "minus45": "[1, 12, 32]", "higman40": "[1, 12, 27]"}

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_find_isomorphism, reference_pair_profiles
+from helpers import (
+    CounterRefineIsoSearch,
+    reference_build,
+    reference_find_isomorphism,
+    reference_pair_profiles,
+)
 from psu4designs.designs import (
     KINDS,
     DesignFormatError,
@@ -21,6 +26,8 @@ from psu4designs.designs import (
     relabel,
     verify_symmetric,
     write_design,
+    _edge_codes,
+    _IsoSearch,
     _pair_profiles,
 )
 from psu4designs.exactmath import DesignParams
@@ -36,6 +43,13 @@ EXPECTED_PARAMS = {
 @pytest.fixture(scope="module")
 def built():
     return {kind: build(kind) for kind in KINDS}
+
+
+def test_build_matches_reference():
+    for kind in KINDS:
+        assert build(kind) == reference_build(kind), kind
+    with pytest.raises(ValueError, match="unknown design kind 'fano'"):
+        build("fano")
 
 
 def test_builders_verify(built):
@@ -231,8 +245,11 @@ def test_pair_profiles_match_reference(built):
     # 300 blocks through points 0-2: a one-byte field would read 300 as 44
     cases.append(IncidenceStructure(5, ((0, 1, 2),) * 300 + ((3, 4),)))
     for d in cases:
-        assert _pair_profiles(d) == reference_pair_profiles(d), d
-    assert _pair_profiles(cases[-1])[0][1] == (300, ((0, 2), (300, 1)))
+        codes, keys = _pair_profiles(d)
+        assert keys[0] == (-1, ()) and len(set(keys)) == len(keys)
+        assert [[keys[c] for c in row] for row in codes] == reference_pair_profiles(d), d
+    codes, keys = _pair_profiles(cases[-1])
+    assert keys[codes[0][1]] == (300, ((0, 2), (300, 1)))
 
 
 def test_search_matches_reference(built):
@@ -248,6 +265,73 @@ def test_search_matches_reference(built):
                 pairs.append((d, relabel(d, perm)))
     for d1, d2 in pairs:
         assert find_isomorphism(d1, d2) == reference_find_isomorphism(d1, d2)
+
+
+def _random_replicated_structure(rng):
+    """Every point on the same number r of b blocks; the block sizes and the
+    pair counts are whatever the draw gives.  The pair profiles never see a
+    point's replication number, so where points differ in it alone both
+    searches can try up to (v-1)! leaves (ROADMAP item 6)."""
+    v, b = rng.randint(2, 14), rng.randint(1, 16)
+    blocks = [[] for _ in range(b)]
+    r = rng.randint(0, b)
+    for x in range(v):
+        for j in rng.sample(range(b), r):
+            blocks[j].append(x)
+    return IncidenceStructure(v, tuple(map(tuple, blocks)))
+
+
+def _same_block_sizes(rng, d):
+    """A random structure on d's points with d's block sizes."""
+    blocks = tuple(tuple(sorted(rng.sample(range(d.v), len(b)))) for b in d.blocks)
+    return IncidenceStructure(d.v, blocks)
+
+
+def test_search_matches_reference_on_random_structures():
+    """Irregular input: each random structure against a relabelling of itself
+    and against another structure with the same block sizes, most of which
+    end at the profile check before any refinement."""
+    rng = random.Random(909)
+    early = 0
+    for _ in range(200):
+        d = _random_replicated_structure(rng)
+        perm = list(range(d.v))
+        rng.shuffle(perm)
+        shuffled = relabel(d, perm)
+        other = _same_block_sizes(rng, d)
+        witness = find_isomorphism(d, shuffled)
+        assert witness is not None and witness == reference_find_isomorphism(d, shuffled), d
+        got = find_isomorphism(d, other)
+        assert got == reference_find_isomorphism(d, other), (d, other)
+        if _edge_codes(d, other) is None:
+            early += 1
+            assert got is None
+    assert early >= 100, early
+
+
+def test_refine_matches_counter_refine(built):
+    """The grouped refinement gives the colour ids that counting every
+    point's signature gave, on the same edge codes."""
+    rng = random.Random(4242)
+    cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
+    cases += [_random_structure(rng) for _ in range(40)]
+    for d1 in cases:
+        n = d1.v
+        perm = list(range(n))
+        rng.shuffle(perm)
+        d2 = relabel(d1, perm)
+        new = _IsoSearch(d1, d2, *_edge_codes(d1, d2))
+        old = CounterRefineIsoSearch(d1, d2)
+        assert (new.en1, new.en2) == (old.en1, old.en2)
+        for _ in range(5):
+            colours = rng.randint(1, n)
+            col1 = [rng.randrange(colours) for _ in range(n)]
+            col2 = [0] * n
+            for x, y in enumerate(perm):
+                col2[y] = col1[x]
+            unrelated = rng.sample(col1, n)
+            for c1, c2 in ((col1, col2), (col1, unrelated)):
+                assert new._refine(c1, c2) == old._refine(c1, c2), d1
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

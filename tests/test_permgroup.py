@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from helpers import all_reflections_action
+from helpers import all_reflections_action, reference_induce
 
 from psu4designs import geometry
 from psu4designs.designs import KIND_POINT_CLASS, build, complement, flags
@@ -58,6 +58,46 @@ def test_induce_rejects_wrong_point_set():
         induce([ident, shift], points, 3)
     with pytest.raises(ValueError, match="empty point list"):
         induce([ident], [], 3)
+
+
+def test_induce_matches_reference():
+    """The reflections along all 81 mirrors, on each point class and on all
+    121 points."""
+    space = design_space()
+    points = projective_points(5, 3)
+    matrices = [
+        reflection(space, x) for x in points if classify_point(space, x) != geometry.ISOTROPIC
+    ]
+    assert len(matrices) == 81
+    for universe in [geometry.class_points(c) for c in KIND_POINT_CLASS.values()] + [points]:
+        assert induce(matrices, universe, 3) == reference_induce(matrices, universe, 3)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+_IDENT = tuple(tuple(1 if i == j else 0 for j in range(5)) for i in range(5))
+_SHIFT = tuple(tuple(1 if (i + 1) % 5 == j else 0 for j in range(5)) for i in range(5))
+_DROP_FIRST = tuple(tuple(1 if i == j > 0 else 0 for j in range(5)) for i in range(5))
+
+
+@pytest.mark.parametrize("matrices, points, message", [
+    ([_IDENT, _SHIFT], projective_points(5, 3)[:10], "matrix maps (0:0:0:1:2) outside the point set"),
+    ([_DROP_FIRST], projective_points(5, 3), "zero vector has no projective normal form"),
+    ([_IDENT], [], "empty point list"),
+    # not normal forms: 2x and an unreduced entry never match an image
+    ([_IDENT], [geometry.ProjectivePoint((2, 0, 0, 0, 0))], "outside the point set"),
+    ([_IDENT], [geometry.ProjectivePoint((1, 3, 0, 0, 0))], "outside the point set"),
+    ([_IDENT], projective_points(5, 3) + projective_points(5, 3)[:1], "not a permutation"),
+], ids=["wrong-set", "zero-image", "empty", "scaled", "unreduced", "repeated"])
+def test_induce_errors_match_reference(matrices, points, message):
+    got = _outcome(induce, matrices, points, 3)
+    assert got == _outcome(reference_induce, matrices, points, 3)
+    assert message in got
 
 
 def test_reflection_fixed_points_on_menon_set():
