@@ -226,20 +226,24 @@ def is_isomorphism(
 # Each design's profiles come back as an int code matrix and the list of
 # the distinct profiles, so the two designs are matched on their few
 # distinct profiles, not on v^2 nested tuples.  The edge ids rank d1's
-# profiles.  A profile of d2 that d1 lacks ends the search with None: the
-# root refinement would reject it anyway, because the points of d2 on such
-# a pair have a code that no point of d1 has.  Otherwise d2's profiles are
-# among d1's, the ranks are the ranks over both designs, and the search
-# runs on the same edge ids.
+# profiles, and d2's profiles are read against that ranking: the first
+# profile of d2 that d1 lacks ends the search with None, before the rest
+# of d2's pairs are read.  The root refinement would reject it anyway,
+# because the points of d2 on such a pair have a code that no point of d1
+# has.  Otherwise d2's profiles are among d1's, the ranks are the ranks
+# over both designs, and the search runs on the same edge ids.
 # ---------------------------------------------------------------------------
 
 
-def _pair_profiles(design: IncidenceStructure) -> tuple[list[list[int]], list[tuple]]:
+def _pair_profiles(
+    design: IncidenceStructure, known: Optional[dict[tuple, int]] = None
+) -> Optional[tuple[list[list[int]], list[tuple]]]:
     """The pair profiles as a v x v code matrix and the profiles it indexes.
 
     Code c at (x, y) stands for keys[c], the pair (lambda_xy, sorted
     histogram of the triple counts over z != x, y).  The diagonal is code 0,
-    whose key (-1, ()) sorts below any real profile.
+    whose key (-1, ()) sorts below any real profile.  Given known, returns
+    None at the first profile that is not among its keys.
 
     Memory: the b outer products are held at once, b * v^2 fields of the
     smallest of 1, 2, 4, 8 bytes that holds the largest replication number
@@ -279,8 +283,11 @@ def _pair_profiles(design: IncidenceStructure) -> tuple[list[list[int]], list[tu
                 hist[lam] -= 2
                 if not hist[lam]:
                     del hist[lam]
+                key = (lam, tuple(sorted(hist.items())))
+                if known is not None and key not in known:
+                    return None
                 code = memo[seen] = len(keys)
-                keys.append((lam, tuple(sorted(hist.items()))))
+                keys.append(key)
             codes_x[y] = codes[y][x] = code
     return codes, keys
 
@@ -292,10 +299,11 @@ def _edge_codes(
     d1's profiles; None when d2 has a profile that d1 lacks."""
     n = d1.v
     codes1, keys1 = _pair_profiles(d1)
-    codes2, keys2 = _pair_profiles(d2)
     rank = {k: i * n for i, k in enumerate(sorted(keys1))}
-    if not rank.keys() >= set(keys2):
+    second = _pair_profiles(d2, rank)
+    if second is None:
         return None
+    codes2, keys2 = second
 
     def scaled(codes: list[list[int]], keys: list[tuple]) -> list[list[int]]:
         en = list(map(rank.__getitem__, keys))

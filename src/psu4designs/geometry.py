@@ -88,11 +88,15 @@ def projective_points(dim: int, p: int) -> list[ProjectivePoint]:
     normal-form order."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    seen = set()
-    for vec in itertools.product(range(p), repeat=dim):
-        if any(vec):
-            seen.add(_normalize(vec, p))
-    return [ProjectivePoint(c) for c in sorted(seen)]
+    if not is_prime(p):
+        raise ValueError(f"need a prime modulus, got {p}")
+    # product yields the vectors in lexicographic order; the normal forms
+    # are those whose first nonzero coordinate is 1
+    return [
+        ProjectivePoint(vec)
+        for vec in itertools.product(range(p), repeat=dim)
+        if next(filter(None, vec), 0) == 1
+    ]
 
 
 class _QuadraticSpace(NamedTuple):

@@ -4,15 +4,19 @@ Permutations are image tuples: g maps i to g[i].  Everything here is sized
 for the degree-45-and-below actions the design checks need; group_order
 guards against misuse at degrees beyond 10^4, where a serious stabilizer
 chain implementation would be called for.
+
+Composition runs through ``operator.itemgetter``, which picks all the images
+in one C call, and primitivity closes one block per orbit of a point
+stabilizer rather than one per point.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import geometry
-from .designs import IncidenceStructure, flags
+from .designs import IncidenceStructure
 
 __all__ = [
     "Permutation",
@@ -47,7 +51,10 @@ def identity_perm(n: int) -> Permutation:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p first, then q."""
-    return tuple(q[i] for i in p)
+    # itemgetter returns a bare item for one index and cannot take none
+    if len(p) < 2:
+        return tuple(q[i] for i in p)
+    return itemgetter(*p)(q)
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -169,13 +176,17 @@ def _schreier_generators(
     gens: Sequence[Permutation], transversal: dict[int, Permutation]
 ) -> list[Permutation]:
     """Deduplicated nontrivial Schreier generators of the point stabilizer."""
-    inv = {b: inverse(t) for b, t in transversal.items()}
     ident = identity_perm(len(next(iter(transversal.values()))))
+    if len(ident) < 2:
+        return []  # the only permutation of degree 0 or 1 is the identity
+    inv = {b: inverse(t) for b, t in transversal.items()}
     out = set()
     for a in sorted(transversal):
-        ta = transversal[a]
+        # ta(g) is compose(t_a, g); picking its images out of inv[g[a]]
+        # applies t_{g(a)}^-1 after it
+        ta = itemgetter(*transversal[a])
         for g in gens:
-            s = compose(compose(ta, g), inv[g[a]])
+            s = itemgetter(*ta(g))(inv[g[a]])
             if s != ident:
                 out.add(s)
     return sorted(out)
@@ -228,9 +239,9 @@ def induced_block_action(
     bgens = []
     for g in action.generators:
         images = []
+        get = g.__getitem__
         for block in design.blocks:
-            img = tuple(sorted(g[i] for i in block))
-            j = lookup.get(img)
+            j = lookup.get(tuple(sorted(map(get, block))))
             if j is None:
                 raise ValueError("a generator does not permute the blocks")
             images.append(j)
@@ -245,31 +256,38 @@ def is_flag_transitive(
 ) -> bool:
     """True iff one flag's orbit under the simultaneous action covers all
     flags.  The generator pairing is checked for compatibility first."""
+    blocks = design.blocks
     if action.degree != design.v:
         raise ValueError("point action degree differs from the point count")
-    if block_action.degree != len(design.blocks):
+    if block_action.degree != len(blocks):
         raise ValueError("block action degree differs from the block count")
     if len(action.generators) != len(block_action.generators):
         raise ValueError("generator lists are not paired")
-    for g, h in zip(action.generators, block_action.generators):
-        for b, block in enumerate(design.blocks):
-            if tuple(sorted(g[i] for i in block)) != design.blocks[h[b]]:
+    pairs = list(zip(action.generators, block_action.generators))
+    for g, h in pairs:
+        get = g.__getitem__
+        for block, hb in zip(blocks, h):
+            if tuple(sorted(map(get, block))) != blocks[hb]:
                 raise ValueError("incompatible generator pair: block image mismatch")
-    all_flags = flags(design)
-    if not all_flags:
+    total = sum(map(len, blocks))
+    if not total:
         return False
-    start = all_flags[0]
+    # The flag (x, b) is searched as the integer x * nb + b.  The search
+    # starts at the least flag: the least point on some block, with the
+    # least block through it (blocks are sorted, so block[0] is its least).
+    nb = len(blocks)
+    x = min(block[0] for block in blocks if block)
+    start = x * nb + next(b for b, block in enumerate(blocks) if x in block)
     seen = {start}
     queue = [start]
-    pairs = list(zip(action.generators, block_action.generators))
     while queue:
-        pt, blk = queue.pop()
+        pt, blk = divmod(queue.pop(), nb)
         for g, h in pairs:
-            nxt = (g[pt], h[blk])
+            nxt = g[pt] * nb + h[blk]
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return len(seen) == len(all_flags)
+    return len(seen) == total
 
 
 def _closure_is_trivial(gens: Sequence[Permutation], n: int, beta: int) -> bool:
@@ -299,6 +317,14 @@ def _closure_is_trivial(gens: Sequence[Permutation], n: int, beta: int) -> bool:
     return classes == 1
 
 
+def _suborbits(action: PermutationAction, point: int) -> list[set[int]]:
+    """The orbits of the stabilizer of the point (Schreier generators),
+    ordered by their least points."""
+    n = action.degree
+    trans = _orbit_transversal(action.generators, point, n)
+    return _orbits(_schreier_generators(action.generators, trans), n)
+
+
 def is_primitive(action: PermutationAction) -> bool:
     """True iff the (transitive) action preserves no nontrivial partition.
 
@@ -309,8 +335,15 @@ def is_primitive(action: PermutationAction) -> bool:
         raise NotTransitiveError("action is not transitive")
     if n <= 2:
         return True
+    # A transitive action is primitive iff, for every beta != 0, the least
+    # block through {0, beta} (in the finest invariant partition joining
+    # them) is the whole set.  An h in G fixing 0 maps the least block
+    # through {0, beta} onto the least block through {0, h beta}, so the
+    # answer is the same on a whole suborbit and one beta per suborbit
+    # decides it.  The first suborbit is {0}.
     return all(
-        _closure_is_trivial(action.generators, n, beta) for beta in range(1, n)
+        _closure_is_trivial(action.generators, n, min(o))
+        for o in _suborbits(action, 0)[1:]
     )
 
 
@@ -322,9 +355,7 @@ def stabilizer_orbit_sizes(action: PermutationAction, point: int) -> list[int]:
         raise ValueError("point out of range")
     if len(orbit(action, 0)) != n:
         raise NotTransitiveError("action is not transitive")
-    trans = _orbit_transversal(action.generators, point, n)
-    sgens = _schreier_generators(action.generators, trans)
-    return sorted(len(o) for o in _orbits(sgens, n))
+    return sorted(map(len, _suborbits(action, point)))
 
 
 # The lexicographically first generating 5-subset of the 81 mirrors; greedy

@@ -29,9 +29,20 @@ classes were keyed by sorted code tuples: it counts every point's
 ids.  ``reference_build`` and ``reference_induce`` are ``designs.build`` and
 ``permgroup.induce`` as they read the bilinear form and normalised each
 image, before Gram-row dot products and the table of point multiples.
+
+``reference_stabilizer_chain``, ``reference_is_primitive``,
+``reference_stabilizer_orbit_sizes``, ``reference_induced_block_action`` and
+``reference_is_flag_transitive`` are the group checks as ``permgroup`` ran
+them before composing through ``operator.itemgetter``: the chain builds
+every coset representative and Schreier generator with a generator
+expression, primitivity closes a block for every point but 0, and the flag
+search runs on (point, block) tuples from ``designs.flags``.
+``reference_projective_points`` normalises every nonzero vector and sorts
+the set of normal forms.
 """
 
 from collections import Counter
+from itertools import product
 from math import gcd, isqrt
 from operator import add
 from typing import Optional
@@ -42,9 +53,20 @@ from psu4designs.designs import (
     KINDS,
     IncidenceStructure,
     _IsoSearch,
+    flags,
 )
 from psu4designs.exactmath import factorize
-from psu4designs.permgroup import PermutationAction, induce
+from psu4designs.permgroup import (
+    NotTransitiveError,
+    PermutationAction,
+    StabilizerChain,
+    _closure_is_trivial,
+    _orbits,
+    identity_perm,
+    induce,
+    inverse,
+    orbit,
+)
 
 
 def brute_force_candidates(v, k_bound, subdeg, p, parabolic, k_cap=10**6):
@@ -279,3 +301,132 @@ def reference_induce(matrices, points, p):
             images.append(j)
         gens.append(tuple(images))
     return PermutationAction(len(points), tuple(gens))
+
+
+def reference_compose(p, q):
+    """Apply p first, then q."""
+    return tuple(q[i] for i in p)
+
+
+def _reference_orbit_transversal(gens, beta, n):
+    """Orbit of beta with coset representatives t_a satisfying t_a[beta] = a."""
+    transversal = {beta: identity_perm(n)}
+    queue = [beta]
+    while queue:
+        a = queue.pop(0)
+        ta = transversal[a]
+        for g in gens:
+            b = g[a]
+            if b not in transversal:
+                transversal[b] = reference_compose(ta, g)
+                queue.append(b)
+    return transversal
+
+
+def _reference_schreier_generators(gens, transversal):
+    """Deduplicated nontrivial Schreier generators of the point stabilizer."""
+    inv = {b: inverse(t) for b, t in transversal.items()}
+    ident = identity_perm(len(next(iter(transversal.values()))))
+    out = set()
+    for a in sorted(transversal):
+        ta = transversal[a]
+        for g in gens:
+            s = reference_compose(reference_compose(ta, g), inv[g[a]])
+            if s != ident:
+                out.add(s)
+    return sorted(out)
+
+
+def reference_stabilizer_chain(action):
+    n = action.degree
+    if n > 10_000:
+        raise ValueError("degree beyond the desk-scale guard (10^4)")
+    gens = sorted({g for g in action.generators if g != identity_perm(n)})
+    base = []
+    transversals = []
+    order = 1
+    while gens:
+        beta = min(max(_orbits(gens, n), key=len))
+        trans = _reference_orbit_transversal(gens, beta, n)
+        base.append(beta)
+        transversals.append(trans)
+        order *= len(trans)
+        gens = _reference_schreier_generators(gens, trans)
+    return StabilizerChain(tuple(base), tuple(transversals), order)
+
+
+def reference_is_primitive(action):
+    n = action.degree
+    if len(orbit(action, 0)) != n:
+        raise NotTransitiveError("action is not transitive")
+    if n <= 2:
+        return True
+    return all(
+        _closure_is_trivial(action.generators, n, beta) for beta in range(1, n)
+    )
+
+
+def reference_stabilizer_orbit_sizes(action, point):
+    n = action.degree
+    if not 0 <= point < n:
+        raise ValueError("point out of range")
+    if len(orbit(action, 0)) != n:
+        raise NotTransitiveError("action is not transitive")
+    trans = _reference_orbit_transversal(action.generators, point, n)
+    sgens = _reference_schreier_generators(action.generators, trans)
+    return sorted(len(o) for o in _orbits(sgens, n))
+
+
+def reference_induced_block_action(action, design):
+    if action.degree != design.v:
+        raise ValueError("action degree differs from the point count")
+    lookup = {block: i for i, block in enumerate(design.blocks)}
+    bgens = []
+    for g in action.generators:
+        images = []
+        for block in design.blocks:
+            img = tuple(sorted(g[i] for i in block))
+            j = lookup.get(img)
+            if j is None:
+                raise ValueError("a generator does not permute the blocks")
+            images.append(j)
+        bgens.append(tuple(images))
+    return PermutationAction(len(design.blocks), tuple(bgens))
+
+
+def reference_is_flag_transitive(action, design, block_action):
+    if action.degree != design.v:
+        raise ValueError("point action degree differs from the point count")
+    if block_action.degree != len(design.blocks):
+        raise ValueError("block action degree differs from the block count")
+    if len(action.generators) != len(block_action.generators):
+        raise ValueError("generator lists are not paired")
+    for g, h in zip(action.generators, block_action.generators):
+        for b, block in enumerate(design.blocks):
+            if tuple(sorted(g[i] for i in block)) != design.blocks[h[b]]:
+                raise ValueError("incompatible generator pair: block image mismatch")
+    all_flags = flags(design)
+    if not all_flags:
+        return False
+    start = all_flags[0]
+    seen = {start}
+    queue = [start]
+    pairs = list(zip(action.generators, block_action.generators))
+    while queue:
+        pt, blk = queue.pop()
+        for g, h in pairs:
+            nxt = (g[pt], h[blk])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen) == len(all_flags)
+
+
+def reference_projective_points(dim, p):
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    seen = set()
+    for vec in product(range(p), repeat=dim):
+        if any(vec):
+            seen.add(geometry._normalize(vec, p))
+    return [geometry.ProjectivePoint(c) for c in sorted(seen)]

@@ -252,6 +252,28 @@ def test_pair_profiles_match_reference(built):
     assert keys[codes[0][1]] == (300, ((0, 2), (300, 1)))
 
 
+def test_pair_profiles_against_known_keys(built):
+    """Read against another structure's ranking, the profiles are the full
+    ones when all of their keys are known, and None otherwise."""
+    rng = random.Random(5151)
+    cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
+    pairs = [(d1, d2) for d1 in cases for d2 in cases if d1.v == d2.v]
+    for _ in range(150):
+        d = _random_replicated_structure(rng)
+        pairs += [(d, relabel(d, rng.sample(range(d.v), d.v))), (d, _same_block_sizes(rng, d))]
+    stopped = 0
+    for d1, d2 in pairs:
+        known = dict.fromkeys(_pair_profiles(d1)[1], 0)
+        full = _pair_profiles(d2)
+        got = _pair_profiles(d2, known)
+        if known.keys() >= set(full[1]):
+            assert got == full
+        else:
+            assert got is None
+            stopped += 1
+    assert stopped >= 50, stopped
+
+
 def test_search_matches_reference(built):
     """The same witness, not just a valid one: colour ids and branch order
     are unchanged."""

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from helpers import reference_projective_points
 
 from psu4designs.geometry import (
     ISOTROPIC,
@@ -24,6 +25,20 @@ def test_projective_point_counts():
     assert len(projective_points(5, 3)) == 121
     assert len(projective_points(4, 3)) == 40
     assert len(projective_points(1, 3)) == 1
+
+
+def test_projective_points_match_reference():
+    """The normal forms listed in product order are the sorted set of the
+    normalised nonzero vectors."""
+    for p in (2, 3, 5, 7):
+        for dim in range(1, 6):
+            assert projective_points(dim, p) == reference_projective_points(dim, p)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+def test_projective_points_need_a_prime(p):
+    with pytest.raises(ValueError, match=f"need a prime modulus, got {p}"):
+        projective_points(2, p)
 
 
 def test_point_normalization_canonical():
