@@ -123,13 +123,11 @@ def build(kind: str) -> IncidenceStructure:
     if kind not in KIND_POINT_CLASS:
         raise ValueError(f"unknown design kind {kind!r}; expected one of {KINDS}")
     space = geometry.design_space()
-    p = space.field.p
     points = [pt.coords for pt in geometry.class_points(KIND_POINT_CLASS[kind])]
     # B(x, y) is the dot product of y with x's Gram row x^T G
-    columns = tuple(zip(*space.gram))
-    grams = [tuple(sum(map(mul, x, col)) for col in columns) for x in points]
+    grams = [space.gram_row(x) for x in points]
     blocks = tuple(
-        tuple(j for j, y in enumerate(points) if not sum(map(mul, gx, y)) % p)
+        tuple(j for j, y in enumerate(points) if not sum(map(mul, gx, y)) % space.p)
         for gx in grams
     )
     return IncidenceStructure(len(points), blocks)
@@ -475,6 +473,14 @@ def format_design(design: IncidenceStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _naturals(tokens: list[str]) -> tuple[int, ...]:
+    """The tokens as integers; ValueError unless each is ASCII decimal digits,
+    as int() alone would also take a sign, underscores and other scripts."""
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError("not a decimal digit string")
+    return tuple(map(int, tokens))
+
+
 def parse_design(text: str) -> IncidenceStructure:
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -482,13 +488,11 @@ def parse_design(text: str) -> IncidenceStructure:
     if not lines:
         raise DesignFormatError(1, "empty file")
     header = lines[0].split()
-    if len(header) != 2:
-        raise DesignFormatError(1, "header must be two integers: v b")
     try:
-        v, b = int(header[0]), int(header[1])
+        v, b = _naturals(header)
     except ValueError:
         raise DesignFormatError(1, "header must be two integers: v b") from None
-    if v < 1 or b < 0:
+    if v < 1:
         raise DesignFormatError(1, f"bad sizes v={v} b={b}")
     if len(lines) - 1 != b:
         # point at the first missing or first surplus line
@@ -497,7 +501,7 @@ def parse_design(text: str) -> IncidenceStructure:
     blocks = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            idx = tuple(int(tok) for tok in line.split())
+            idx = _naturals(line.split())
         except ValueError:
             raise DesignFormatError(lineno, "block entries must be integers") from None
         if any(not 0 <= i < v for i in idx):

@@ -1,29 +1,26 @@
-"""Prime-field linear algebra and orthogonal/projective point sets.
+"""The orthogonal and projective point sets of the constructions.
 
 The design constructions live in the 5-dimensional orthogonal space over
-F_3 with Gram matrix diag(1, 1, 1, 1, -1) and in the projective geometry
-of F_3^4.  The Gram entry -1 is forced by direct counting: the form value
-classes must split the 121 projective points as 40 isotropic, 36 of
-square type and 45 of nonsquare type, and the identity form realises the
-36/45 split the other way around.  (Scaling the form does not change the
-orthogonal group in odd dimension, so the induced groups are unaffected.)
-
-Characteristic 2 is excluded from quadratic spaces; quadratic forms over
-F_2 need separate machinery none of the constructions use.
+F_3 with Gram matrix diag(1, 1, 1, 1, -1), the one space ``design_space``
+returns, and in the projective geometry of F_3^4.  The Gram entry -1 is
+forced by direct counting: the form value classes must split the 121
+projective points as 40 isotropic, 36 of square type and 45 of nonsquare
+type, and the identity form realises the 36/45 split the other way
+around.  (Scaling the form does not change the orthogonal group in odd
+dimension, so the induced groups are unaffected.)  ``projective_points``
+and ``pg_hyperplanes`` take any prime p.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import NamedTuple
 
 from .exactmath import is_prime
 
 __all__ = [
-    "PrimeField",
     "ProjectivePoint",
-    "QuadraticSpace",
-    "diagonal_space",
     "design_space",
     "projective_points",
     "classify_point",
@@ -40,44 +37,10 @@ SQUARE_TYPE = "square_type"
 NONSQUARE_TYPE = "nonsquare_type"
 
 
-class _PrimeField(NamedTuple):
-    p: int
-
-
-class PrimeField(_PrimeField):
-    """F_p for prime p <= 257."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int) -> PrimeField:
-        if not is_prime(p) or p > 257:
-            raise ValueError(f"need a prime modulus <= 257, got {p}")
-        return super().__new__(cls, p)
-
-    def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(x, -1, self.p)
-
-
-def _normalize(vec: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Scale so the first nonzero coordinate is 1 (canonical representative)."""
-    vec = tuple(c % p for c in vec)
-    for c in vec:
-        if c:
-            inv = pow(c, -1, p)
-            return tuple(x * inv % p for x in vec)
-    raise ValueError("zero vector has no projective normal form")
-
-
 class ProjectivePoint(NamedTuple):
     """A 1-dimensional subspace, stored by its normal-form representative."""
 
     coords: tuple[int, ...]
-
-    @classmethod
-    def from_vector(cls, vec: tuple[int, ...], p: int) -> "ProjectivePoint":
-        return cls(_normalize(vec, p))
 
     def __str__(self) -> str:
         return "(" + ":".join(map(str, self.coords)) + ")"
@@ -99,91 +62,50 @@ def projective_points(dim: int, p: int) -> list[ProjectivePoint]:
     ]
 
 
-class _QuadraticSpace(NamedTuple):
-    field: PrimeField
-    dim: int
+class _OrthogonalSpace(NamedTuple):
+    """A symmetric nondegenerate Gram matrix over F_p, p odd."""
+
+    p: int
     gram: tuple[tuple[int, ...], ...]
 
-
-class QuadraticSpace(_QuadraticSpace):
-    """A nondegenerate symmetric bilinear form over F_p, p odd."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, field: PrimeField, dim: int, gram: tuple[tuple[int, ...], ...]
-    ) -> QuadraticSpace:
-        p = field.p
-        if p == 2:
-            raise ValueError("characteristic 2 is not supported")
-        if len(gram) != dim or any(len(row) != dim for row in gram):
-            raise ValueError("Gram matrix shape does not match dim")
-        for i in range(dim):
-            for j in range(dim):
-                if gram[i][j] % p != gram[j][i] % p:
-                    raise ValueError("Gram matrix must be symmetric")
-        self = super().__new__(cls, field, dim, gram)
-        if self._det() % p == 0:
-            raise ValueError("Gram matrix is degenerate")
-        return self
-
-    def _det(self) -> int:
-        # Gaussian elimination mod p
-        p = self.field.p
-        m = [[x % p for x in row] for row in self.gram]
-        det = 1
-        for col in range(self.dim):
-            pivot = next((r for r in range(col, self.dim) if m[r][col]), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det % p
-            det = det * m[col][col] % p
-            inv = pow(m[col][col], -1, p)
-            for r in range(col + 1, self.dim):
-                factor = m[r][col] * inv % p
-                if factor:
-                    m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
-        return det % p
+    def gram_row(self, x) -> tuple[int, ...]:
+        """x^T G: as G is symmetric, entry i is row i of G dotted with x."""
+        xc = x.coords if isinstance(x, ProjectivePoint) else x
+        if len(xc) != len(self.gram):
+            raise ValueError(f"need a vector of length {len(self.gram)}, got {len(xc)}")
+        return tuple(sum(map(mul, row, xc)) for row in self.gram)
 
     def bilinear(self, x, y) -> int:
-        gram = self.gram
-        xc = x.coords if isinstance(x, ProjectivePoint) else x
         yc = y.coords if isinstance(y, ProjectivePoint) else y
-        total = 0
-        for i, xi in enumerate(xc):
-            if xi:
-                row = gram[i]
-                total += xi * sum(row[j] * yj for j, yj in enumerate(yc) if yj)
-        return total % self.field.p
+        return sum(map(mul, self.gram_row(x), yc)) % self.p
 
     def form(self, x) -> int:
-        return self.bilinear(x, x)
+        xc = x.coords if isinstance(x, ProjectivePoint) else x
+        return sum(map(mul, self.gram_row(xc), xc)) % self.p
 
 
-def diagonal_space(p: int, entries: tuple[int, ...]) -> QuadraticSpace:
-    """The space with Gram matrix diag(entries)."""
-    dim = len(entries)
-    gram = tuple(
-        tuple(entries[i] % p if i == j else 0 for j in range(dim))
-        for i in range(dim)
-    )
-    return QuadraticSpace(PrimeField(p), dim, gram)
+# diag(1, 1, 1, 1, -1) over F_3, with -1 stored as 2
+_DESIGN_SPACE = _OrthogonalSpace(3, (
+    (1, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0),
+    (0, 0, 1, 0, 0),
+    (0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 2),
+))
 
 
-def design_space() -> QuadraticSpace:
+def design_space() -> _OrthogonalSpace:
     """The dim-5 orthogonal F_3 space of the constructions: diag(1,1,1,1,-1)."""
-    return diagonal_space(3, (1, 1, 1, 1, -1))
+    return _DESIGN_SPACE
 
 
-def classify_point(space: QuadraticSpace, x: ProjectivePoint) -> str:
+def classify_point(space: _OrthogonalSpace, x: ProjectivePoint) -> str:
     """isotropic / square_type / nonsquare_type of the form value.
 
     Well defined on the projective point: rescaling multiplies the form
     value by a square.
     """
-    p = space.field.p
+    p = space.p
     value = space.form(x)
     if value == 0:
         return ISOTROPIC
@@ -202,22 +124,19 @@ def class_points(point_class: str) -> list[ProjectivePoint]:
     ]
 
 
-def reflection(space: QuadraticSpace, v) -> tuple[tuple[int, ...], ...]:
+def reflection(space: _OrthogonalSpace, v) -> tuple[tuple[int, ...], ...]:
     """The reflection r_v(x) = x - (2 B(x,v)/Q(v)) v as a matrix, for
     anisotropic v.  An involutory isometry of the form."""
-    p = space.field.p
+    p = space.p
     vc = v.coords if isinstance(v, ProjectivePoint) else tuple(c % p for c in v)
-    qv = space.form(vc)
+    gv = space.gram_row(vc)
+    qv = sum(map(mul, gv, vc)) % p
     if qv == 0:
         raise ValueError("reflection requires an anisotropic vector")
-    c = 2 * space.field.inv(qv) % p
-    gv = [sum(space.gram[i][j] * vc[j] for j in range(space.dim)) % p for i in range(space.dim)]
+    c = 2 * pow(qv, -1, p) % p
     return tuple(
-        tuple(
-            ((1 if i == j else 0) - c * vc[i] * gv[j]) % p
-            for j in range(space.dim)
-        )
-        for i in range(space.dim)
+        tuple(((1 if i == j else 0) - c * vi * gj) % p for j, gj in enumerate(gv))
+        for i, vi in enumerate(vc)
     )
 
 

@@ -38,7 +38,9 @@ every coset representative and Schreier generator with a generator
 expression, primitivity closes a block for every point but 0, and the flag
 search runs on (point, block) tuples from ``designs.flags``.
 ``reference_projective_points`` normalises every nonzero vector and sorts
-the set of normal forms.
+the set of normal forms.  Both it and ``reference_induce`` take normal
+forms with ``normalize``, which scales a vector so that its first nonzero
+coordinate is 1.
 """
 
 from collections import Counter
@@ -282,6 +284,16 @@ def reference_build(kind: str) -> IncidenceStructure:
     return IncidenceStructure(len(points), blocks)
 
 
+def normalize(vec: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Scale so the first nonzero coordinate is 1 (canonical representative)."""
+    vec = tuple(c % p for c in vec)
+    for c in vec:
+        if c:
+            inv = pow(c, -1, p)
+            return tuple(x * inv % p for x in vec)
+    raise ValueError("zero vector has no projective normal form")
+
+
 def reference_induce(matrices, points, p):
     if not points:
         raise ValueError("empty point list")
@@ -294,7 +306,7 @@ def reference_induce(matrices, points, p):
             w = tuple(
                 sum(m[i][j] * pt.coords[j] for j in range(dim)) % p for i in range(dim)
             )
-            nf = geometry.ProjectivePoint.from_vector(w, p).coords
+            nf = normalize(w, p)
             j = index.get(nf)
             if j is None:
                 raise ValueError(f"matrix maps {pt} outside the point set")
@@ -428,5 +440,5 @@ def reference_projective_points(dim, p):
     seen = set()
     for vec in product(range(p), repeat=dim):
         if any(vec):
-            seen.add(geometry._normalize(vec, p))
+            seen.add(normalize(vec, p))
     return [geometry.ProjectivePoint(c) for c in sorted(seen)]

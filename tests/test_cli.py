@@ -116,10 +116,11 @@ def test_verify_violation_exit_1(tmp_path, capsys):
 
 def test_verify_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.des"
-    path.write_text("3 1\n0 zero\n")
-    code, out = run(capsys, "verify", str(path))
-    assert code == 2
-    assert "line 2" in out
+    for text in ("3 1\n0 zero\n", "12 1\n+0 1_1\n"):
+        path.write_text(text)
+        code, out = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "line 2" in out
 
 
 @pytest.mark.parametrize("blob, lineno", [(b"\xff\xfe\n", 1), (b"3 1\n0 \xff\n", 2)])

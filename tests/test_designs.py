@@ -155,6 +155,13 @@ def test_file_roundtrip(tmp_path, built):
         ("3 1\n0 zero\n", 2),
         ("3 1\n0 5\n", 2),
         ("3 1\n1 0\n", 2),
+        ("1_2 1\n0 3\n", 1),
+        ("+3 1\n0 1\n", 1),
+        ("3 -1\n", 1),
+        ("\u0663 1\n0 1\n", 1),
+        ("12 1\n+0 1_1\n", 2),
+        ("3 1\n-0 1\n", 2),
+        ("3 1\n0 \u0661\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):

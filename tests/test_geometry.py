@@ -2,19 +2,17 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import reference_projective_points
+from helpers import normalize, reference_projective_points
 
+from psu4designs.exactmath import is_prime
 from psu4designs.geometry import (
     ISOTROPIC,
     NONSQUARE_TYPE,
     SQUARE_TYPE,
-    PrimeField,
     ProjectivePoint,
-    QuadraticSpace,
     class_points,
     classify_point,
     design_space,
-    diagonal_space,
     pg_hyperplanes,
     projective_points,
     reflection,
@@ -41,10 +39,24 @@ def test_projective_points_need_a_prime(p):
         projective_points(2, p)
 
 
-def test_point_normalization_canonical():
-    p = ProjectivePoint.from_vector((0, 2, 1, 0, 2), 3)
-    assert p.coords[next(i for i, c in enumerate(p.coords) if c)] == 1
-    assert ProjectivePoint.from_vector((0, 1, 2, 0, 1), 3) == p
+def test_design_space_is_nondegenerate():
+    """diag(1,1,1,1,2) is symmetric with determinant 2, a unit mod the odd
+    prime 3."""
+    space = design_space()
+    assert space.p > 2 and is_prime(space.p)
+    assert tuple(tuple(c % 3 for c in row) for row in space.gram) == tuple(
+        tuple((2 if i == 4 else 1) if i == j else 0 for j in range(5)) for i in range(5)
+    )
+
+
+@pytest.mark.parametrize("coords", [(1, 0, 0), (1, 0, 0, 0, 0, 1)])
+def test_wrong_length_vectors_rejected(coords):
+    space = design_space()
+    for x in (coords, ProjectivePoint(coords)):
+        with pytest.raises(ValueError, match=f"need a vector of length 5, got {len(coords)}"):
+            classify_point(space, x)
+        with pytest.raises(ValueError, match=f"need a vector of length 5, got {len(coords)}"):
+            reflection(space, x)
 
 
 def test_classification_counts():
@@ -66,7 +78,7 @@ def test_classification_scaling_invariant():
     for _ in range(50):
         x = rng.choice(points)
         scaled = tuple(2 * c % 3 for c in x.coords)
-        y = ProjectivePoint.from_vector(scaled, 3)
+        y = ProjectivePoint(normalize(scaled, 3))
         assert classify_point(space, x) == classify_point(space, y)
 
 
@@ -136,25 +148,3 @@ def test_pg_hyperplanes_fano():
     for i in range(7):
         for j in range(i + 1, 7):
             assert len(set(blocks[i]) & set(blocks[j])) == 1
-
-
-def test_space_validation():
-    with pytest.raises(ValueError):
-        diagonal_space(2, (1, 1))  # characteristic 2 excluded
-    with pytest.raises(ValueError):
-        QuadraticSpace(PrimeField(3), 2, ((1, 1), (0, 1)))  # not symmetric
-    with pytest.raises(ValueError):
-        diagonal_space(3, (1, 0))  # degenerate
-    with pytest.raises(ValueError):
-        PrimeField(12)
-    with pytest.raises(ValueError):
-        PrimeField(263)  # beyond the supported modulus range
-
-
-def test_field_inverse():
-    f = PrimeField(7)
-    for x in range(1, 7):
-        assert f.inv(x) * x % 7 == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
