@@ -39,49 +39,56 @@ EXIT_IO = 3
 _GROUP_NAMES = {25920: "PSU4(2)", 51840: "PSU4(2):2"}
 
 # ---------------------------------------------------------------------------
-# Golden table contents.  The ``tables`` command recomputes each table from
-# the catalog/inequalities and diffs against these values; lines 13-14 of
-# table 9 are reported with divergence annotations instead of being
-# compared, mirroring how the sieve reports rather than asserts for them.
+# Golden table contents, by table id: {row key: value}.  The ``tables``
+# command recomputes each table from the catalog/inequalities and diffs its
+# rows against these.  Table 8 lists only its caps above 1, and its a<=1 row
+# is checked by its first two and last primes; lines 13-14 of table 9 are
+# reported with divergence annotations instead of being compared, mirroring
+# how the sieve reports rather than asserts for them.
 # ---------------------------------------------------------------------------
 
-GOLDEN_T3 = {
-    2: (40, 1296),
-    3: (8505, 3072),
-    4: (339456, 12000),
-    5: (5687500, 10368),
-    8: (1982955520, 104976),
+GOLDEN = {
+    "3": {  # q: (v, k_divides)
+        2: (40, 1296),
+        3: (8505, 3072),
+        4: (339456, 12000),
+        5: (5687500, 10368),
+        8: (1982955520, 104976),
+    },
+    "4": {2: 10, 3: 6, 5: 4, 7: 3, 11: 2, 13: 2, 17: 2}
+    | {p: 1 for p in primes_up_to(157) if p >= 19},
+    "6": {2: 9, 3: 5, 5: 3, 7: 2, 11: 2, 13: 2} | {p: 1 for p in primes_up_to(89) if p >= 17},
+    "7": {  # q: (v, m_bound)
+        4: (1040, 2),
+        8: (32832, 3),
+        16: (1048832, 4),
+        32: (33555456, 25),
+        64: (1073745920, 6),
+        128: (34359754752, 7),
+        256: (1099511693312, 8),
+        512: (35184372350976, 45),
+    },
+    "8": {
+        3: 12, 5: 6, 13: 4,
+        7: 3, 11: 3, 17: 3, 23: 3, 37: 3, 67: 3,
+        29: 2, 41: 2, 43: 2, 71: 2,
+    },
+    "9": {11: [7], 12: [3], 15: [3], 16: [5, 11]},
 }
 
-GOLDEN_T4 = {2: 10, 3: 6, 5: 4, 7: 3, 11: 2, 13: 2, 17: 2}
-GOLDEN_T4.update({p: 1 for p in primes_up_to(157) if p >= 19})
-
-GOLDEN_T6 = {2: 9, 3: 5, 5: 3, 7: 2, 11: 2, 13: 2}
-GOLDEN_T6.update({p: 1 for p in primes_up_to(89) if p >= 17})
-
-GOLDEN_T7 = {
-    4: (1040, 2),
-    8: (32832, 3),
-    16: (1048832, 4),
-    32: (33555456, 25),
-    64: (1073745920, 6),
-    128: (34359754752, 7),
-    256: (1099511693312, 8),
-    512: (35184372350976, 45),
-}
-
-GOLDEN_T8_EXPLICIT = {
-    3: 12, 5: 6, 13: 4,
-    7: 3, 11: 3, 17: 3, 23: 3, 37: 3, 67: 3,
-    29: 2, 41: 2, 43: 2, 71: 2,
-}
-# the remaining primes of the table all have cap 1; the row runs 53, 73,
-# ..., 19433
-GOLDEN_T8_CAP1_HEAD = (53, 73)
-GOLDEN_T8_CAP1_LAST = 19433
-
-GOLDEN_T9 = {11: [7], 12: [3], 15: [3], 16: [5, 11]}
+# the a<=1 row of table 8 runs 53, 73, ..., 19433
+GOLDEN_T8_CAP1 = ([53, 73], [19433])
 GOLDEN_T9_REPORTED = {13: [], 14: []}  # reported, never compared
+
+# How one row prints from its key, computed value and golden value
+_ROW_FORMATS = {
+    "3": "q={0}: v={1[0]} k_divides={1[1]}  golden v={2[0]} k_divides={2[1]}",
+    "4": "p={0:<6} a<={1}  golden a<={2}",
+    "6": "p={0:<6} a<={1}  golden a<={2}",
+    "7": "q={0}: v,m_bound={1}  golden={2}",
+    "8": "p={0:<6} a<={1}  golden a<={2}",
+    "9": "line {0}: q in {1}  golden {2}",
+}
 
 
 def _timestamp() -> str:
@@ -172,16 +179,15 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _diff_caps(computed: dict[int, int], golden: dict[int, int]) -> tuple[bool, list[str]]:
-    lines = []
-    ok = True
-    for p in sorted(set(computed) | set(golden)):
-        got = computed.get(p)
-        want = golden.get(p)
-        mark = "ok" if got == want else "MISMATCH"
-        ok = ok and got == want
-        lines.append(f"  p={p:<6} a<={got}  golden a<={want}  {mark}")
-    return ok, lines
+def _compared_rows(tid: str, table: dict) -> dict:
+    """The rows of ``bound_table(tid)`` in the shape of ``GOLDEN[tid]``."""
+    if tid in ("3", "7"):  # each row holds (v, k_divides) or (v, m_bound)
+        return {q: tuple(row.values()) for q, row in table["rows"].items()}
+    if tid == "9":
+        return table["lines"]
+    if tid == "8":  # the caps above 1, and any cap the golden table lists
+        return {p: a for p, a in table["caps"].items() if a > 1 or p in GOLDEN["8"]}
+    return table["caps"]
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -189,62 +195,31 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
     tid = args.table
     table = bound_table(tid)
+    rows, golden, fmt = _compared_rows(tid, table), GOLDEN[tid], _ROW_FORMATS[tid]
+    reported = GOLDEN_T9_REPORTED if tid == "9" else {}
+    # a row found on one side only shows None on the other
+    absent = (None, None) if tid == "3" else None
     _print(f"table {tid}")
     ok = True
-    if tid == "3":
-        rows = table["rows"]
-        for q in sorted(rows):
-            got = (rows[q]["v"], rows[q]["k_divides"])
-            want = GOLDEN_T3[q]
-            mark = "ok" if got == want else "MISMATCH"
-            ok = ok and got == want
-            _print(f"  q={q}: v={got[0]} k_divides={got[1]}  golden v={want[0]} k_divides={want[1]}  {mark}")
-        ok = ok and set(rows) == set(GOLDEN_T3)
-    elif tid in ("4", "6"):
-        golden = GOLDEN_T4 if tid == "4" else GOLDEN_T6
-        ok, lines = _diff_caps(table["caps"], golden)
-        for line in lines:
-            _print(line)
-    elif tid == "7":
-        rows = table["rows"]
-        for q in sorted(set(rows) | set(GOLDEN_T7)):
-            row = rows.get(q)
-            got = (row["v"], row["m_bound"]) if row else None
-            want = GOLDEN_T7.get(q)
-            mark = "ok" if got == want else "MISMATCH"
-            ok = ok and got == want
-            _print(f"  q={q}: v,m_bound={got}  golden={want}  {mark}")
-    elif tid == "8":
-        caps = table["caps"]
-        for p in sorted(GOLDEN_T8_EXPLICIT):
-            got = caps.get(p)
-            want = GOLDEN_T8_EXPLICIT[p]
-            mark = "ok" if got == want else "MISMATCH"
-            ok = ok and got == want
-            _print(f"  p={p:<6} a<={got}  golden a<={want}  {mark}")
-        rest = sorted(p for p in caps if p not in GOLDEN_T8_EXPLICIT)
-        all_one = all(caps[p] == 1 for p in rest)
-        head_ok = tuple(rest[:2]) == GOLDEN_T8_CAP1_HEAD
-        last_ok = bool(rest) and rest[-1] == GOLDEN_T8_CAP1_LAST
-        ok = ok and all_one and head_ok and last_ok
+    for key in sorted(rows.keys() | golden.keys()):
+        got = rows.get(key, absent)
+        if key in reported:
+            want = reported[key]
+            note = "matches golden" if got == want else f"DIVERGES from golden {want}"
+            _print(f"  line {key}: q in {got}  reported, not compared ({note})")
+            continue
+        want = golden.get(key, absent)
+        ok = ok and got == want
+        _print("  " + fmt.format(key, got, want) + ("  ok" if got == want else "  MISMATCH"))
+    if tid == "8":
+        ones = sorted(p for p, a in table["caps"].items() if a == 1)
+        got = (ones[:2], ones[-1:])
+        ok = ok and got == GOLDEN_T8_CAP1
         _print(
-            f"  a<=1 row: {len(rest)} primes, first {rest[:2]}, last {rest[-1:]}"
-            f"  golden first {list(GOLDEN_T8_CAP1_HEAD)}, last [{GOLDEN_T8_CAP1_LAST}]"
-            f"  {'ok' if all_one and head_ok and last_ok else 'MISMATCH'}"
+            f"  a<=1 row: {len(ones)} primes, first {got[0]}, last {got[1]}"
+            f"  golden first {GOLDEN_T8_CAP1[0]}, last {GOLDEN_T8_CAP1[1]}"
+            f"  {'ok' if got == GOLDEN_T8_CAP1 else 'MISMATCH'}"
         )
-    else:  # "9"; argparse rejects any other id
-        lines9 = table["lines"]
-        for line in sorted(lines9):
-            got = lines9[line]
-            if line in GOLDEN_T9:
-                want = GOLDEN_T9[line]
-                mark = "ok" if got == want else "MISMATCH"
-                ok = ok and got == want
-                _print(f"  line {line}: q in {got}  golden {want}  {mark}")
-            else:
-                want = GOLDEN_T9_REPORTED[line]
-                note = "matches golden" if got == want else f"DIVERGES from golden {want}"
-                _print(f"  line {line}: q in {got}  reported, not compared ({note})")
     _print(f"table {tid}: {'MATCH' if ok else 'MISMATCH'}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -263,15 +238,14 @@ def _build_design(kind: str, complement: bool) -> designs.IncidenceStructure:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     design = _build_design(args.kind, args.complement)
-    try:
-        verified = designs.VerifiedDesign.of(design)
-    except ValueError as exc:
-        _print(f"verification failed: {exc}")
+    result = designs.verify_symmetric(design)
+    if isinstance(result, designs.VerificationFailure):
+        _print(f"verification failed: {result}")
         return EXIT_MISMATCH
-    _print(f"{args.kind}{' complement' if args.complement else ''}: {verified.params}")
+    _print(f"{args.kind}{' complement' if args.complement else ''}: {result}")
     if args.out:
         try:
-            designs.write_design(verified.structure, args.out)
+            designs.write_design(design, args.out)
         except OSError as exc:
             _print(f"error: cannot write {args.out}: {exc}")
             return EXIT_IO
@@ -369,7 +343,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("tables", help="recompute a bound table against its golden values")
-    p.add_argument("--table", required=True, choices=["3", "4", "6", "7", "8", "9"])
+    p.add_argument("--table", required=True, choices=list(GOLDEN))
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("construct", help="build and verify a design")

@@ -28,7 +28,6 @@ from .exactmath import DesignParams
 __all__ = [
     "IncidenceStructure",
     "VerificationFailure",
-    "VerifiedDesign",
     "DesignFormatError",
     "KINDS",
     "KIND_POINT_CLASS",
@@ -100,20 +99,6 @@ class VerificationFailure(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.axiom} violated at {self.witness}"
-
-
-class VerifiedDesign(NamedTuple):
-    """An incidence structure paired with its checked parameters."""
-
-    structure: "IncidenceStructure"
-    params: DesignParams
-
-    @classmethod
-    def of(cls, structure: "IncidenceStructure") -> "VerifiedDesign":
-        result = verify_symmetric(structure)
-        if isinstance(result, VerificationFailure):
-            raise ValueError(str(result))
-        return cls(structure, result)
 
 
 def build(kind: str) -> IncidenceStructure:

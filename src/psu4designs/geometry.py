@@ -68,20 +68,22 @@ class _OrthogonalSpace(NamedTuple):
     p: int
     gram: tuple[tuple[int, ...], ...]
 
-    def gram_row(self, x) -> tuple[int, ...]:
-        """x^T G: as G is symmetric, entry i is row i of G dotted with x."""
+    def _vector(self, x) -> tuple[int, ...]:
         xc = x.coords if isinstance(x, ProjectivePoint) else x
         if len(xc) != len(self.gram):
             raise ValueError(f"need a vector of length {len(self.gram)}, got {len(xc)}")
+        return xc
+
+    def gram_row(self, x) -> tuple[int, ...]:
+        """x^T G: as G is symmetric, entry i is row i of G dotted with x."""
+        xc = self._vector(x)
         return tuple(sum(map(mul, row, xc)) for row in self.gram)
 
     def bilinear(self, x, y) -> int:
-        yc = y.coords if isinstance(y, ProjectivePoint) else y
-        return sum(map(mul, self.gram_row(x), yc)) % self.p
+        return sum(map(mul, self.gram_row(x), self._vector(y))) % self.p
 
     def form(self, x) -> int:
-        xc = x.coords if isinstance(x, ProjectivePoint) else x
-        return sum(map(mul, self.gram_row(xc), xc)) % self.p
+        return self.bilinear(x, x)
 
 
 # diag(1, 1, 1, 1, -1) over F_3, with -1 stored as 2

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import psu4designs
-from psu4designs import cli
-from psu4designs.designs import build, complement, relabel, write_design
+from psu4designs import cli, designs, sieve
+from psu4designs.designs import IncidenceStructure, build, complement, relabel, write_design
 
 
 def run(capsys, *argv):
@@ -88,6 +89,63 @@ def test_tables_9_reports_divergence(capsys):
 
 def test_tables_unknown_id_usage_error(capsys):
     assert cli.main(["tables", "--table", "5"]) == 2
+    assert capsys.readouterr().err == "usage: psu4designs tables [-h] --table {3,4,6,7,8,9}\n"
+
+
+def test_tables_ids_are_the_sieve_tables():
+    """The ``--table`` choices are the golden ids, which are the ids
+    ``sieve.bound_table`` computes."""
+    assert set(cli.GOLDEN) == set(sieve._TABLES)
+
+
+# sha256 of each ``tables --table N`` stdout, and its exit code, computed
+# before the golden rows were diffed in one loop
+_TABLES_SHA256 = {
+    "3": "bd946a14dac841a087f9c8fd140f689793d41ca74ee9391d80d1d6c7d7ca3c7b",
+    "4": "3bb2f1f3e78d5d5a396d10481e7ba8fa979361866822b7db1d8dfd998b75868c",
+    "6": "87a07d4f2d14490db98b2da4c2f5eeca8ac38c63a992098514234b3bccf9d98e",
+    "7": "3a13491406d7569c97654f84c76aa4cac87b1773d8e06f99f5565c40afd3c16e",
+    "8": "f21401a15aa29fffb616f8eb309106f357bc556eb93f600f7fde6a621d6db189",
+    "9": "ea4071a1c2f896a8d80f79218d07292787eb1b8b4ca05ca43fba83807a86b9a1",
+}
+
+
+@pytest.mark.parametrize("table", list(_TABLES_SHA256))
+def test_tables_stdout_pinned(capsys, table):
+    code, out = run(capsys, "tables", "--table", table)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, _TABLES_SHA256[table])
+
+
+# per table, a golden row key and a value the table does not compute there
+_WRONG_GOLDEN = {
+    "3": (2, (40, 1297)),
+    "4": (2, 11),
+    "6": (3, 4),
+    "7": (4, (1040, 3)),
+    "8": (3, 11),
+    "9": (11, [7, 13]),
+}
+
+
+@pytest.mark.parametrize("edit", ["changed", "removed"])
+@pytest.mark.parametrize("table", list(_WRONG_GOLDEN))
+def test_tables_mismatch(monkeypatch, capsys, table, edit):
+    """A golden value that differs, or a row found on one side only, prints
+    one ``MISMATCH`` row and exits 1."""
+    key, wrong = _WRONG_GOLDEN[table]
+    golden = dict(cli.GOLDEN[table])
+    if edit == "changed":
+        golden[key] = wrong
+    else:
+        del golden[key]
+    monkeypatch.setitem(cli.GOLDEN, table, golden)
+    code, out = run(capsys, "tables", "--table", table)
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[-1] == f"table {table}: MISMATCH"
+    mismatched = [line for line in lines[1:-1] if line.endswith("  MISMATCH")]
+    assert len(mismatched) == 1
+    assert re.match(rf"  (q=|p=|line ){key}[: ]", mismatched[0]), mismatched
 
 
 def test_construct_and_verify(tmp_path, capsys):
@@ -98,6 +156,17 @@ def test_construct_and_verify(tmp_path, capsys):
     code, out = run(capsys, "verify", str(path))
     assert code == 0
     assert "symmetric design (40,27,18)" in out
+
+
+def test_construct_verification_failure(tmp_path, monkeypatch, capsys):
+    """A built structure that fails an axiom prints the failure, exits 1 and
+    writes no file."""
+    bad = IncidenceStructure(4, ((0, 1), (2, 3), (0, 2), (1, 3)))
+    monkeypatch.setattr(designs, "build", lambda kind: bad)
+    path = tmp_path / "bad.des"
+    code, out = run(capsys, "construct", "menon36", "--out", str(path))
+    assert (code, out) == (1, "verification failed: point_pair violated at (0, 3, 0, 1)\n")
+    assert not path.exists()
 
 
 def test_construct_io_failure(capsys):

@@ -388,13 +388,3 @@ def test_is_isomorphism_rejects_wrong_map(built):
 
 def test_size_mismatch_fast_path(built):
     assert find_isomorphism(built["menon36"], built["pg33"]) is None
-
-
-def test_verified_design_pairing(built):
-    from psu4designs.designs import VerifiedDesign
-
-    vd = VerifiedDesign.of(built["menon36"])
-    assert vd.params.triple() == (36, 15, 6)
-    broken = IncidenceStructure(5, tuple(tuple(range(5)) for _ in range(5)))
-    with pytest.raises(ValueError):
-        VerifiedDesign.of(broken)

@@ -57,6 +57,10 @@ def test_wrong_length_vectors_rejected(coords):
             classify_point(space, x)
         with pytest.raises(ValueError, match=f"need a vector of length 5, got {len(coords)}"):
             reflection(space, x)
+        with pytest.raises(ValueError, match=f"need a vector of length 5, got {len(coords)}"):
+            space.bilinear(x, (1, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match=f"need a vector of length 5, got {len(coords)}"):
+            space.bilinear((1, 0, 0, 0, 0), x)
 
 
 def test_classification_counts():

@@ -20,9 +20,9 @@ PUBLIC = {
                  "classify_point", "design_space", "pg_hyperplanes", "projective_points",
                  "reflection"],
     "designs": ["DesignFormatError", "IncidenceStructure", "KINDS", "KIND_POINT_CLASS",
-                "VerificationFailure", "VerifiedDesign", "build", "complement", "find_isomorphism",
-                "flags", "format_design", "is_isomorphism", "parse_design", "read_design",
-                "relabel", "verify_symmetric", "write_design"],
+                "VerificationFailure", "build", "complement", "find_isomorphism", "flags",
+                "format_design", "is_isomorphism", "parse_design", "read_design", "relabel",
+                "verify_symmetric", "write_design"],
     "permgroup": ["NotTransitiveError", "Permutation", "PermutationAction", "StabilizerChain",
                   "compose", "group_order", "identity_perm", "induce", "induced_block_action",
                   "inverse", "is_flag_transitive", "is_primitive", "orbit", "orbits",
@@ -58,7 +58,6 @@ RECORDS = {
     "IncidenceStructure": (_fano, ("v", "blocks")),
     "VerificationFailure": (lambda: designs.VerificationFailure("point_pair", (0, 1)),
                             ("axiom", "witness")),
-    "VerifiedDesign": (lambda: designs.VerifiedDesign.of(_fano()), ("structure", "params")),
     "FeasibilityResult": (lambda: sieve.FeasibilityResult([], {}),
                           ("candidates", "rejections", "tits_violated")),
     "CaseOutcome": (lambda: sieve.scan_all(2, 1, [8]).outcomes[0],
