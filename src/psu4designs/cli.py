@@ -42,9 +42,9 @@ _GROUP_NAMES = {25920: "PSU4(2)", 51840: "PSU4(2):2"}
 # Golden table contents, by table id: {row key: value}.  The ``tables``
 # command recomputes each table from the catalog/inequalities and diffs its
 # rows against these.  Table 8 lists only its caps above 1, and its a<=1 row
-# is checked by its first two and last primes; lines 13-14 of table 9 are
-# reported with divergence annotations instead of being compared, mirroring
-# how the sieve reports rather than asserts for them.
+# is checked by its count and its first two and last primes; lines 13-14 of
+# table 9 are reported with divergence annotations instead of being
+# compared, mirroring how the sieve reports rather than asserts for them.
 # ---------------------------------------------------------------------------
 
 GOLDEN = {
@@ -76,8 +76,8 @@ GOLDEN = {
     "9": {11: [7], 12: [3], 15: [3], 16: [5, 11]},
 }
 
-# the a<=1 row of table 8 runs 53, 73, ..., 19433
-GOLDEN_T8_CAP1 = ([53, 73], [19433])
+# the a<=1 row of table 8 holds 122 primes, 53, 73, ..., 19433
+GOLDEN_T8_CAP1 = (122, [53, 73], [19433])
 GOLDEN_T9_REPORTED = {13: [], 14: []}  # reported, never compared
 
 # How one row prints from its key, computed value and golden value
@@ -213,11 +213,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
         _print("  " + fmt.format(key, got, want) + ("  ok" if got == want else "  MISMATCH"))
     if tid == "8":
         ones = sorted(p for p, a in table["caps"].items() if a == 1)
-        got = (ones[:2], ones[-1:])
+        got = (len(ones), ones[:2], ones[-1:])
         ok = ok and got == GOLDEN_T8_CAP1
         _print(
-            f"  a<=1 row: {len(ones)} primes, first {got[0]}, last {got[1]}"
-            f"  golden first {GOLDEN_T8_CAP1[0]}, last {GOLDEN_T8_CAP1[1]}"
+            f"  a<=1 row: {got[0]} primes, first {got[1]}, last {got[2]}"
+            f"  golden first {GOLDEN_T8_CAP1[1]}, last {GOLDEN_T8_CAP1[2]}"
             f"  {'ok' if got == GOLDEN_T8_CAP1 else 'MISMATCH'}"
         )
     _print(f"table {tid}: {'MATCH' if ok else 'MISMATCH'}")

@@ -90,11 +90,15 @@ def _k_search(
     # gcd(k, k-1) = 1, so each prime power r^e exactly dividing v-1 divides k
     # or k-1, and k only if r^e | k_bound.  By CRT, k mod v-1 is a*(a^-1 mod
     # (v-1)/a) for a product a of such r^e; as 2 < k < v-1, each residue is at
-    # most one k.  Only k_bound is factored, never v-1.
+    # most one k.  Only gcd(k_bound, v-1) is factored, never k_bound or v-1:
+    # a prime r of k_bound has gcd(v-1, r^{v_r(k_bound)}) > 1 exactly when it
+    # divides that gcd, and the gcd is then r^e with e = v_r(gcd(k_bound,
+    # v-1)).  So the primes, their ascending order and each g are those of
+    # factoring k_bound, and the parts, residues and counts are unchanged.
     parts = [1]
-    for r, e in factorize(k_bound).pairs:
-        g = math.gcd(vm1, r**e)
-        if g > 1 and (vm1 // g) % r:
+    for r, e in factorize(math.gcd(k_bound, vm1)).pairs:
+        g = r**e
+        if (vm1 // g) % r:
             parts += [a * g for a in parts]
     for k in sorted(a * pow(a, -1, vm1 // a) % vm1 for a in parts):
         if k <= 2:
@@ -142,7 +146,10 @@ def cube_prefilter(line: int, q: PrimePower) -> bool:
     """
     if not 11 <= line <= 16:
         raise ValueError("cube prefilter applies to lines 11-16 only")
-    case = case_for(line, q)
+    return _cube_holds(case_for(line, q), q)
+
+
+def _cube_holds(case: SubgroupCase, q: PrimePower) -> bool:
     return socle_order(q) <= out_order(q) ** 2 * case.h0_order(q) ** 3
 
 
@@ -182,7 +189,7 @@ def _scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
     line = case.line
     v = case.point_count(q)
     k_bound = case.k_divisor_bound(q)
-    if 11 <= line <= 16 and not cube_prefilter(line, q):
+    if 11 <= line <= 16 and not _cube_holds(case, q):
         return CaseOutcome(
             line, q, v, k_bound, ELIMINATED, CUBE_PREFILTER, [], {}, case.subfield
         )

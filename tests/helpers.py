@@ -10,6 +10,10 @@ every divisor of the k-bound and filters them by (v-1) | k(k-1).  It
 returns the candidate traces and the per-stage rejection counts too, so
 agreement with ``sieve._k_search`` checks everything past stage 0.
 
+``reference_k_search`` is ``sieve._k_search`` as it factored the whole
+k-bound, before it factored only gcd(k-bound, v-1); agreement checks the
+full result, the stage-0 (NO_K_DIVISOR) count included.
+
 ``exhaustive_cap`` tries a fixed 64 exponents for every prime, so agreement
 with ``sieve._cap`` checks the derived exponent ceiling that stops it early.
 
@@ -43,6 +47,7 @@ forms with ``normalize``, which scales a vector so that its first nonzero
 coordinate is 1.
 """
 
+import math
 from collections import Counter
 from itertools import product
 from math import gcd, isqrt
@@ -57,7 +62,7 @@ from psu4designs.designs import (
     _IsoSearch,
     flags,
 )
-from psu4designs.exactmath import factorize
+from psu4designs.exactmath import DesignParams, factorize
 from psu4designs.permgroup import (
     NotTransitiveError,
     PermutationAction,
@@ -68,6 +73,13 @@ from psu4designs.permgroup import (
     induce,
     inverse,
     orbit,
+)
+from psu4designs.sieve import (
+    LAMBDA_BOUND_FAIL,
+    NO_K_DIVISOR,
+    SQUARE_FAIL,
+    SUBDEG_FAIL,
+    FeasibilityResult,
 )
 
 
@@ -143,6 +155,60 @@ def divisor_scan(v, k_bound, subdeg, p, parabolic):
         ]
         out.append(((v, k, lam), {"square_root": root, "subdegree_checks": checks}))
     return out, dict(rejections)
+
+
+def reference_k_search(
+    v: int, k_bound: int, subdeg: list[int], p: int, parabolic: bool
+) -> FeasibilityResult:
+    if v < 4:
+        raise ValueError("v must be >= 4")
+    if k_bound < 1:
+        raise ValueError("k_bound must be >= 1")
+    if not parabolic and math.gcd(p, v - 1) != 1:
+        return FeasibilityResult([], {}, tits_violated=True)
+    vm1 = v - 1
+    effective = [math.gcd(d, vm1) if parabolic else d for d in subdeg]
+    rejections: Counter[str] = Counter()
+    candidates: list[tuple[DesignParams, dict]] = []
+    # gcd(k, k-1) = 1, so each prime power r^e exactly dividing v-1 divides k
+    # or k-1, and k only if r^e | k_bound.  By CRT, k mod v-1 is a*(a^-1 mod
+    # (v-1)/a) for a product a of such r^e; as 2 < k < v-1, each residue is at
+    # most one k.  Only k_bound is factored, never v-1.
+    parts = [1]
+    for r, e in factorize(k_bound).pairs:
+        g = math.gcd(vm1, r**e)
+        if g > 1 and (vm1 // g) % r:
+            parts += [a * g for a in parts]
+    for k in sorted(a * pow(a, -1, vm1 // a) % vm1 for a in parts):
+        if k <= 2:
+            continue
+        if k_bound % k:
+            rejections[NO_K_DIVISOR] += 1
+            continue
+        lam = k * (k - 1) // vm1
+        if lam >= k or lam * v >= k * k:
+            rejections[LAMBDA_BOUND_FAIL] += 1
+            continue
+        disc = 4 * lam * vm1 + 1
+        root = isqrt(disc)
+        if root * root != disc:
+            rejections[SQUARE_FAIL] += 1
+            continue
+        checks = []
+        ok = True
+        for d_raw, d_eff in zip(subdeg, effective):
+            if (lam * d_eff) % k:
+                ok = False
+                break
+            checks.append(
+                {"bound": d_raw, "applied": d_eff, "multiplier": lam * d_eff // k}
+            )
+        if not ok:
+            rejections[SUBDEG_FAIL] += 1
+            continue
+        trace = {"square_root": root, "subdegree_checks": checks}
+        candidates.append((DesignParams(v, k, lam), trace))
+    return FeasibilityResult(candidates, dict(rejections))
 
 
 def all_reflections_action(point_class):

@@ -148,6 +148,22 @@ def test_tables_mismatch(monkeypatch, capsys, table, edit):
     assert re.match(rf"  (q=|p=|line ){key}[: ]", mismatched[0]), mismatched
 
 
+def test_tables_8_cap1_count_compared(monkeypatch, capsys):
+    """Dropping a cap-1 prime between the first two and the last one makes
+    the a<=1 row of table 8 a mismatch."""
+    table = sieve.bound_table("8")
+    ones = sorted(p for p, a in table["caps"].items() if a == 1)
+    caps = {p: a for p, a in table["caps"].items() if p != ones[5]}
+    monkeypatch.setattr(sieve, "bound_table", lambda tid: {"caps": caps})
+    code, out = run(capsys, "tables", "--table", "8")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[-1] == "table 8: MISMATCH"
+    assert lines[-2].startswith("  a<=1 row: 121 primes, first [53, 73], last [19433]")
+    assert lines[-2].endswith("  MISMATCH")
+    assert not [line for line in lines[1:-2] if line.endswith("MISMATCH")]
+
+
 def test_construct_and_verify(tmp_path, capsys):
     path = tmp_path / "pg33c.des"
     code, out = run(capsys, "construct", "pg33", "--complement", "--out", str(path))

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from helpers import brute_force_candidates, divisor_scan, exhaustive_cap
+from helpers import brute_force_candidates, divisor_scan, exhaustive_cap, reference_k_search
 
-from psu4designs.catalog import case_for
-from psu4designs.exactmath import DesignParams, PrimePower, primes_up_to
+from psu4designs import sieve
+from psu4designs.catalog import case_for, cases_for
+from psu4designs.exactmath import _TRIAL_LIMIT, DesignParams, PrimePower, primes_up_to
 from psu4designs.sieve import (
     CUBE_PREFILTER,
     ELIMINATED,
@@ -268,3 +269,77 @@ def test_residue_search_random_differential():
         assert [t for t, _ in want] == brute_force_candidates(v, k_bound, subdeg, p, parabolic)
         nonempty += bool(got)
     assert nonempty > 0
+
+
+def _searched_cases(report):
+    """(v, k_bound, subdegree divisors, p, parabolic) of every case of the
+    report that reached the k-search."""
+    for oc in report.outcomes:
+        if oc.reason == CUBE_PREFILTER:
+            continue
+        case = case_for(oc.line, oc.q, oc.subfield)
+        yield oc.v, oc.k_bound, case.subdegree_divisors(oc.q), oc.q.p, case.parabolic
+
+
+@pytest.mark.parametrize("p_max, a_max", [(13, 3), (400, 1), (2, 12)])
+def test_k_search_matches_reference_on_scans(p_max, a_max):
+    """Factoring gcd(k-bound, v-1) gives the result of factoring the whole
+    k-bound: candidates, traces, the tits flag and every rejection count."""
+    searched = 0
+    for args in _searched_cases(scan_all(p_max, a_max)):
+        assert _k_search(*args) == reference_k_search(*args), args
+        searched += 1
+    assert searched > 80
+
+
+def test_k_search_matches_reference_random():
+    """Draws where some prime power of v-1 divides the k-bound only in part,
+    so the prime divides gcd(k-bound, v-1) but is left out of the residues."""
+    rng = random.Random(20261019)
+    primes = (2, 3, 5, 7, 11, 13)
+
+    def exponents():
+        return [rng.randrange(4) for _ in primes]
+
+    draws = nonempty = 0
+    while draws < 1000:
+        ev, eb = exponents(), exponents()
+        if not any(0 < b < a for a, b in zip(ev, eb)):
+            continue
+        vm1 = k_bound = 1
+        for r, a, b in zip(primes, ev, eb):
+            vm1 *= r**a
+            k_bound *= r**b
+        if vm1 < 3:
+            continue
+        k_bound *= rng.choice((1, 1, 17, 10007, 1000003))
+        subdeg = [rng.randrange(1, 10**4) for _ in range(rng.randrange(3))]
+        args = (vm1 + 1, k_bound, subdeg, rng.choice((2, 3, 5, 7)), rng.random() < 0.5)
+        got = _k_search(*args)
+        assert got == reference_k_search(*args), args
+        draws += 1
+        nonempty += bool(got.rejections)
+    assert nonempty > 500
+
+
+def test_cube_prefilter_is_the_scan_reason():
+    """On lines 11-16 a case is eliminated by the cube prefilter exactly when
+    the public ``cube_prefilter`` rejects it."""
+    seen = set()
+    for p in primes_up_to(1000):
+        q = PrimePower.of(p, 1)
+        for line in {c.line for c in cases_for(q)} & set(range(11, 17)):
+            passes = cube_prefilter(line, q)
+            assert (scan_case(line, q).reason == CUBE_PREFILTER) == (not passes), (line, p)
+            seen.add(passes)
+    assert seen == {True, False}
+
+
+def test_k_search_factors_only_trial_proven_numbers(monkeypatch):
+    """Every number the k-search factors over the acceptance range is below
+    _TRIAL_LIMIT**2, so trial division alone proves its prime factors."""
+    factorize, factored = sieve.factorize, []
+    monkeypatch.setattr(sieve, "factorize", lambda n: factored.append(n) or factorize(n))
+    scan_all(13, 3)
+    assert len(factored) > 100
+    assert max(factored) < _TRIAL_LIMIT**2
