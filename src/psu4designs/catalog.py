@@ -1,9 +1,10 @@
 """Maximal-subgroup catalog for almost simple groups with socle PSU4(q).
 
 Sixteen case lines, each a numerical shadow of one conjugacy class of
-maximal subgroups: an applicability condition on q, the order of the
-written structure at SU level, and the subdegree-divisor data the sieve
-consumes.  The subgroups themselves are never constructed.
+maximal subgroups and each one row of ``_ROWS``: an applicability test on
+(q, p, a), the order of the written structure at SU level, and the
+subdegree divisors the sieve consumes.  The subgroups themselves are never
+constructed.
 
 Stabiliser orders are defined as (structure order at SU level) / d with
 d = gcd(4, q+1); the index identity v * h0_order(q) == socle_order(q) is
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional
 
-from .exactmath import PrimePower
+from .exactmath import PrimePower, is_prime
 
 __all__ = [
     "CatalogError",
@@ -34,6 +35,10 @@ LINES = range(1, 17)
 # (1, 2) are the stabilisers of totally singular subspaces.
 PARABOLIC_LINES = frozenset({1, 2})
 
+# (11-16) are fixed groups, dressed with a central factor, that embed only
+# for some q; the sieve puts them through the cube prefilter first.
+FIXED_GROUP_LINES = range(11, 17)
+
 
 class CatalogError(Exception):
     """A stabiliser order inconsistent with the group order (catalog bug)."""
@@ -50,49 +55,61 @@ def out_order(q: PrimePower) -> int:
     return 2 * q.a * math.gcd(4, q.q + 1)
 
 
-def _su_level_order(line: int, q: PrimePower, subfield: Optional[tuple[PrimePower, int]]) -> int:
-    """Order of the written subgroup structure before dividing by d.
+class _Row(NamedTuple):
+    """One case line: su_order(q, d, q0), applies(q, p, a), subdegrees(q).
 
-    Lines 11-16 are fixed groups dressed with a central factor: the central
-    product 4o2^{1+4} has order 64, do2 has order max(d, 2), and extensions
-    multiply orders.
+    su_order is the order of the written structure before dividing by
+    d = gcd(4, q+1); q0 is the subfield of line 7 and None elsewhere.  For
+    the fixed groups the central product 4o2^{1+4} has order 64, do2 has
+    order max(d, 2), and extensions multiply orders.
     """
-    x = q.q
-    d = math.gcd(4, x + 1)
-    if line == 1:  # E_q^{1+4}:SU_2(q):(q^2-1)
-        return x**6 * (x**2 - 1) ** 2
-    if line == 2:  # E_q^4:SL_2(q^2):(q-1)
-        return x**6 * (x**4 - 1) * (x - 1)
-    if line == 3:  # GU_3(q)
-        return x**3 * (x**2 - 1) * (x**3 + 1) * (x + 1)
-    if line == 4:  # (q+1)^3:S_4
-        return 24 * (x + 1) ** 3
-    if line == 5:  # SU_2(q)^2:(q+1).2
-        return 2 * x**2 * (x**2 - 1) ** 2 * (x + 1)
-    if line == 6:  # SL_2(q^2).(q-1).2
-        return 2 * x**2 * (x**4 - 1) * (x - 1)
-    if line == 7:  # SU_4(q0) with q = q0^r
-        x0 = subfield[0].q
-        return x0**6 * (x0**2 - 1) * (x0**3 + 1) * (x0**4 - 1)
-    if line == 8:  # Sp_4(q).gcd(2,q+1)
-        return math.gcd(2, x + 1) * x**4 * (x**2 - 1) * (x**4 - 1)
-    if line == 9:  # SO_4^+(q).d
-        return d * x**2 * (x**2 - 1) ** 2
-    if line == 10:  # SO_4^-(q).d
-        return d * x**2 * (x**4 - 1)
-    if line == 11:  # (4o2^{1+4}).S_6
-        return 64 * 720
-    if line == 12:  # (4o2^{1+4}).A_6
-        return 64 * 360
-    if line == 13:  # (do2).PSL_2(7)
-        return max(d, 2) * 168
-    if line == 14:  # (do2).A_7
-        return max(d, 2) * 2520
-    if line == 15:  # 4_2.PSL_3(4)
-        return 4 * 20160
-    if line == 16:  # (do2).PSU_4(2)
-        return max(d, 2) * 25920
-    raise ValueError(f"no case line {line}")
+
+    su_order: Callable[[int, int, Optional[int]], int]
+    applies: Callable[[int, int, int], bool] = lambda x, p, a: True
+    subdegrees: Callable[[int], list[int]] = lambda x: []
+
+
+# Each row is commented with its written structure.
+_ROWS: dict[int, _Row] = {
+    # E_q^{1+4}:SU_2(q):(q^2-1)
+    1: _Row(lambda x, d, x0: x**6 * (x**2 - 1) ** 2, subdegrees=lambda x: [x**6]),
+    # E_q^4:SL_2(q^2):(q-1)
+    2: _Row(lambda x, d, x0: x**6 * (x**4 - 1) * (x - 1), subdegrees=lambda x: [x**6]),
+    # GU_3(q)
+    3: _Row(lambda x, d, x0: x**3 * (x**2 - 1) * (x**3 + 1) * (x + 1),
+            subdegrees=lambda x: [(x + 1) * (x**3 + 1)]),
+    # (q+1)^3:S_4
+    4: _Row(lambda x, d, x0: 24 * (x + 1) ** 3),
+    # SU_2(q)^2:(q+1).2
+    5: _Row(lambda x, d, x0: 2 * x**2 * (x**2 - 1) ** 2 * (x + 1), lambda x, p, a: x >= 3,
+            lambda x: [2 * (x**2 - 1) ** 2]),
+    # SL_2(q^2).(q-1).2
+    6: _Row(lambda x, d, x0: 2 * x**2 * (x**4 - 1) * (x - 1), lambda x, p, a: x >= 4,
+            lambda x: [2 * (x**4 - 1)]),
+    # SU_4(q0) with q = q0^r, r an odd prime; some r divides a unless a is a
+    # power of two
+    7: _Row(lambda x, d, x0: x0**6 * (x0**2 - 1) * (x0**3 + 1) * (x0**4 - 1),
+            lambda x, p, a: a & (a - 1) != 0),
+    # Sp_4(q).gcd(2,q+1)
+    8: _Row(lambda x, d, x0: math.gcd(2, x + 1) * x**4 * (x**2 - 1) * (x**4 - 1)),
+    # SO_4^+(q).d
+    9: _Row(lambda x, d, x0: d * x**2 * (x**2 - 1) ** 2, lambda x, p, a: x >= 5 and p != 2),
+    # SO_4^-(q).d
+    10: _Row(lambda x, d, x0: d * x**2 * (x**4 - 1), lambda x, p, a: p != 2),
+    # (4o2^{1+4}).S_6
+    11: _Row(lambda x, d, x0: 64 * 720, lambda x, p, a: a == 1 and x % 8 == 7),
+    # (4o2^{1+4}).A_6
+    12: _Row(lambda x, d, x0: 64 * 360, lambda x, p, a: a == 1 and x % 8 == 3),
+    # (do2).PSL_2(7)
+    13: _Row(lambda x, d, x0: max(d, 2) * 168,
+             lambda x, p, a: a == 1 and x % 7 in (3, 5, 6) and x != 3),
+    # (do2).A_7
+    14: _Row(lambda x, d, x0: max(d, 2) * 2520, lambda x, p, a: a == 1 and x % 7 in (3, 5, 6)),
+    # 4_2.PSL_3(4)
+    15: _Row(lambda x, d, x0: 4 * 20160, lambda x, p, a: x == 3),
+    # (do2).PSU_4(2)
+    16: _Row(lambda x, d, x0: max(d, 2) * 25920, lambda x, p, a: a == 1 and x % 6 == 5),
+}
 
 
 # Closed forms for v(q) = |X| / |H0|, used as independent cross-checks of
@@ -112,51 +129,26 @@ CLOSED_FORM_V: dict[int, Callable[[int, int], int]] = {
 
 def _subfield_decompositions(q: PrimePower) -> list[tuple[PrimePower, int]]:
     """All (q0, r) with q = q0^r and r an odd prime, ascending in r."""
-    out = []
-    for r in range(3, q.a + 1, 2):
-        if q.a % r == 0 and all(r % f for f in range(3, r, 2)):
-            out.append((PrimePower.of(q.p, q.a // r), r))
-    return out
-
-
-def _applies(line: int, q: PrimePower) -> bool:
-    x, p, a = q.q, q.p, q.a
-    if line in (1, 2, 3, 4, 8):
-        return True
-    if line == 5:
-        return x >= 3
-    if line == 6:
-        return x >= 4
-    if line == 7:
-        return bool(_subfield_decompositions(q))
-    if line == 9:
-        return x >= 5 and p != 2
-    if line == 10:
-        return p != 2
-    if line == 11:
-        return a == 1 and x % 8 == 7
-    if line == 12:
-        return a == 1 and x % 8 == 3
-    if line == 13:
-        return a == 1 and x % 7 in (3, 5, 6) and x != 3
-    if line == 14:
-        return a == 1 and x % 7 in (3, 5, 6)
-    if line == 15:
-        return x == 3
-    if line == 16:
-        return a == 1 and x % 6 == 5
-    raise ValueError(f"no case line {line}")
+    return [
+        (PrimePower.of(q.p, q.a // r), r)
+        for r in range(3, q.a + 1, 2)
+        if q.a % r == 0 and is_prime(r)
+    ]
 
 
 class SubgroupCase(NamedTuple):
     """One case line, optionally bound to a subfield decomposition (line 7)."""
 
     line: int
-    parabolic: bool
     subfield: Optional[tuple[PrimePower, int]] = None
 
+    @property
+    def parabolic(self) -> bool:
+        return self.line in PARABOLIC_LINES
+
     def su_level_order(self, q: PrimePower) -> int:
-        return _su_level_order(self.line, q, self.subfield)
+        x0 = self.subfield[0].q if self.subfield else None
+        return _ROWS[self.line].su_order(q.q, math.gcd(4, q.q + 1), x0)
 
     def h0_order(self, q: PrimePower) -> int:
         su = self.su_level_order(q)
@@ -185,31 +177,18 @@ class SubgroupCase(NamedTuple):
         For the parabolic lines the entry is the p-part q^6; the sieve
         narrows it with gcd(q^6, v-1) before applying k | lambda*D.
         """
-        x = q.q
-        if self.line in (1, 2):
-            return [x**6]
-        if self.line == 3:
-            return [(x + 1) * (x**3 + 1)]
-        if self.line == 5:
-            return [2 * (x**2 - 1) ** 2]
-        if self.line == 6:
-            return [2 * (x**4 - 1)]
-        return []
-
-
-def _make_case(line: int, subfield: Optional[tuple[PrimePower, int]] = None) -> SubgroupCase:
-    return SubgroupCase(line, line in PARABOLIC_LINES, subfield)
+        return _ROWS[self.line].subdegrees(q.q)
 
 
 def cases_for(q: PrimePower) -> list[SubgroupCase]:
     """The case lines applicable at q, line 7 once per (q0, r) decomposition."""
     out = []
-    for line in LINES:
-        if line == 7:
-            for dec in _subfield_decompositions(q):
-                out.append(_make_case(7, dec))
-        elif _applies(line, q):
-            out.append(_make_case(line))
+    for line, row in _ROWS.items():
+        if row.applies(q.q, q.p, q.a):
+            if line == 7:
+                out += [SubgroupCase(7, dec) for dec in _subfield_decompositions(q)]
+            else:
+                out.append(SubgroupCase(line))
     return out
 
 

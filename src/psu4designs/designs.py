@@ -193,6 +193,9 @@ def is_isomorphism(
 # Isomorphism search: backtracking over point images with partition
 # refinement.  The initial invariant is, per point pair, the multiset of
 # triple intersection numbers |B(x) & B(y) & B(z)| over third points z.
+# The profiles never see a point's replication number, so the root
+# colouring starts from it: an isomorphism preserves it, and points that
+# differ in it alone would otherwise be told apart only at the leaves.
 # Plain 1-WL refinement stalls on these designs (the rank-3 partitions are
 # equitable), so each individualisation also refines every vertex by its
 # triple counts against the anchor set picked so far, which discretises
@@ -432,7 +435,12 @@ def find_isomorphism(
     if codes is None:
         return None
     searcher = _IsoSearch(d1, d2, *codes)
-    start = searcher._refine([0] * n, [0] * n)
+    seed = searcher._renumber(
+        [m.bit_count() for m in searcher.masks1], [m.bit_count() for m in searcher.masks2]
+    )
+    if seed is None:
+        return None
+    start = searcher._refine(*seed)
     if start is None:
         return None
     return searcher.search(*start)

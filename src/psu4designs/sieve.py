@@ -27,7 +27,9 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from . import catalog
-from .catalog import SubgroupCase, case_for, cases_for, out_order, socle_order
+from .catalog import (
+    FIXED_GROUP_LINES, SubgroupCase, case_for, cases_for, out_order, socle_order,
+)
 from .exactmath import DesignParams, PrimePower, factorize, primes_up_to
 
 __all__ = [
@@ -140,12 +142,12 @@ def feasible_candidates(
 
 
 def cube_prefilter(line: int, q: PrimePower) -> bool:
-    """Order test |X| <= |Out(X)|^2 * |H0|^3 for the fixed-group lines 11-16.
+    """Order test |X| <= |Out(X)|^2 * |H0|^3 for the fixed-group lines.
 
     True means the case survives to the k-search.
     """
-    if not 11 <= line <= 16:
-        raise ValueError("cube prefilter applies to lines 11-16 only")
+    if line not in FIXED_GROUP_LINES:
+        raise ValueError("cube prefilter applies to the fixed-group lines only")
     return _cube_holds(case_for(line, q), q)
 
 
@@ -189,7 +191,7 @@ def _scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
     line = case.line
     v = case.point_count(q)
     k_bound = case.k_divisor_bound(q)
-    if 11 <= line <= 16 and not _cube_holds(case, q):
+    if line in FIXED_GROUP_LINES and not _cube_holds(case, q):
         return CaseOutcome(
             line, q, v, k_bound, ELIMINATED, CUBE_PREFILTER, [], {}, case.subfield
         )
@@ -382,14 +384,12 @@ def _table8() -> dict:
 
 
 def _table9() -> dict:
-    lines = {}
-    for line in range(11, 17):
-        passing = []
-        for p in primes_up_to(200):
-            q = PrimePower.of(p, 1)
-            if any(c.line == line for c in catalog.cases_for(q)) and cube_prefilter(line, q):
-                passing.append(p)
-        lines[line] = passing
+    lines: dict[int, list[int]] = {line: [] for line in FIXED_GROUP_LINES}
+    for p in primes_up_to(200):
+        q = PrimePower.of(p, 1)
+        for case in catalog.cases_for(q):
+            if case.line in lines and _cube_holds(case, q):
+                lines[case.line].append(p)
     return {"lines": lines}
 
 

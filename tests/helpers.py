@@ -21,6 +21,9 @@ with ``sieve._cap`` checks the derived exponent ceiling that stops it early.
 mirrors, as ``permgroup.orthogonal_reflection_action`` built it before it
 used five, so agreement checks that the five generate the same group.
 
+``brute_force_isomorphic`` tries every point bijection, so it answers
+yes or no for the iso search on structures small enough (v <= 6).
+
 ``reference_pair_profiles`` and ``ReferenceIsoSearch`` are the pair
 profiles and the refinement as ``designs`` computed them from point masks
 and (edge id, colour) tuples, before packed triple-count rows and integer
@@ -45,24 +48,32 @@ search runs on (point, block) tuples from ``designs.flags``.
 the set of normal forms.  Both it and ``reference_induce`` take normal
 forms with ``normalize``, which scales a vector so that its first nonzero
 coordinate is 1.
+
+``reference_su_level_order``, ``reference_applies``,
+``reference_subdegree_divisors``, ``reference_subfield_decompositions`` and
+``reference_cases_for`` are the catalog as it read each line from a 16-way
+``if line ==`` chain, before each line became one row of a table; the
+cases come back as (line, parabolic, subfield) tuples.
 """
 
 import math
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from math import gcd, isqrt
 from operator import add
 from typing import Optional
 
-from psu4designs import geometry
+from psu4designs import catalog, geometry
+from psu4designs.catalog import PARABOLIC_LINES
 from psu4designs.designs import (
     KIND_POINT_CLASS,
     KINDS,
     IncidenceStructure,
     _IsoSearch,
     flags,
+    is_isomorphism,
 )
-from psu4designs.exactmath import DesignParams, factorize
+from psu4designs.exactmath import DesignParams, PrimePower, factorize
 from psu4designs.permgroup import (
     NotTransitiveError,
     PermutationAction,
@@ -282,6 +293,13 @@ class ReferenceIsoSearch(_IsoSearch):
             if len(set(new1)) == len(set(col1)):
                 return new1, new2
             col1, col2 = new1, new2
+
+
+def brute_force_isomorphic(d1, d2):
+    """Whether some bijection of the points maps d1's blocks onto d2's."""
+    return d1.v == d2.v and any(
+        is_isomorphism(d1, d2, list(perm)) for perm in permutations(range(d1.v))
+    )
 
 
 def reference_find_isomorphism(d1, d2):
@@ -508,3 +526,123 @@ def reference_projective_points(dim, p):
         if any(vec):
             seen.add(normalize(vec, p))
     return [geometry.ProjectivePoint(c) for c in sorted(seen)]
+
+
+# catalog as it stood before each line became one row of ``_ROWS``
+
+
+def reference_su_level_order(line: int, q: PrimePower, subfield: Optional[tuple[PrimePower, int]]) -> int:
+    """Order of the written subgroup structure before dividing by d.
+
+    Lines 11-16 are fixed groups dressed with a central factor: the central
+    product 4o2^{1+4} has order 64, do2 has order max(d, 2), and extensions
+    multiply orders.
+    """
+    x = q.q
+    d = math.gcd(4, x + 1)
+    if line == 1:  # E_q^{1+4}:SU_2(q):(q^2-1)
+        return x**6 * (x**2 - 1) ** 2
+    if line == 2:  # E_q^4:SL_2(q^2):(q-1)
+        return x**6 * (x**4 - 1) * (x - 1)
+    if line == 3:  # GU_3(q)
+        return x**3 * (x**2 - 1) * (x**3 + 1) * (x + 1)
+    if line == 4:  # (q+1)^3:S_4
+        return 24 * (x + 1) ** 3
+    if line == 5:  # SU_2(q)^2:(q+1).2
+        return 2 * x**2 * (x**2 - 1) ** 2 * (x + 1)
+    if line == 6:  # SL_2(q^2).(q-1).2
+        return 2 * x**2 * (x**4 - 1) * (x - 1)
+    if line == 7:  # SU_4(q0) with q = q0^r
+        x0 = subfield[0].q
+        return x0**6 * (x0**2 - 1) * (x0**3 + 1) * (x0**4 - 1)
+    if line == 8:  # Sp_4(q).gcd(2,q+1)
+        return math.gcd(2, x + 1) * x**4 * (x**2 - 1) * (x**4 - 1)
+    if line == 9:  # SO_4^+(q).d
+        return d * x**2 * (x**2 - 1) ** 2
+    if line == 10:  # SO_4^-(q).d
+        return d * x**2 * (x**4 - 1)
+    if line == 11:  # (4o2^{1+4}).S_6
+        return 64 * 720
+    if line == 12:  # (4o2^{1+4}).A_6
+        return 64 * 360
+    if line == 13:  # (do2).PSL_2(7)
+        return max(d, 2) * 168
+    if line == 14:  # (do2).A_7
+        return max(d, 2) * 2520
+    if line == 15:  # 4_2.PSL_3(4)
+        return 4 * 20160
+    if line == 16:  # (do2).PSU_4(2)
+        return max(d, 2) * 25920
+    raise ValueError(f"no case line {line}")
+
+
+def reference_subfield_decompositions(q: PrimePower) -> list[tuple[PrimePower, int]]:
+    """All (q0, r) with q = q0^r and r an odd prime, ascending in r."""
+    out = []
+    for r in range(3, q.a + 1, 2):
+        if q.a % r == 0 and all(r % f for f in range(3, r, 2)):
+            out.append((PrimePower.of(q.p, q.a // r), r))
+    return out
+
+
+def reference_applies(line: int, q: PrimePower) -> bool:
+    x, p, a = q.q, q.p, q.a
+    if line in (1, 2, 3, 4, 8):
+        return True
+    if line == 5:
+        return x >= 3
+    if line == 6:
+        return x >= 4
+    if line == 7:
+        return bool(reference_subfield_decompositions(q))
+    if line == 9:
+        return x >= 5 and p != 2
+    if line == 10:
+        return p != 2
+    if line == 11:
+        return a == 1 and x % 8 == 7
+    if line == 12:
+        return a == 1 and x % 8 == 3
+    if line == 13:
+        return a == 1 and x % 7 in (3, 5, 6) and x != 3
+    if line == 14:
+        return a == 1 and x % 7 in (3, 5, 6)
+    if line == 15:
+        return x == 3
+    if line == 16:
+        return a == 1 and x % 6 == 5
+    raise ValueError(f"no case line {line}")
+
+
+def reference_subdegree_divisors(line: int, q: PrimePower) -> list[int]:
+    """Known divisors D with: some subdegree of G divides D.
+
+    For the parabolic lines the entry is the p-part q^6; the sieve
+    narrows it with gcd(q^6, v-1) before applying k | lambda*D.
+    """
+    x = q.q
+    if line in (1, 2):
+        return [x**6]
+    if line == 3:
+        return [(x + 1) * (x**3 + 1)]
+    if line == 5:
+        return [2 * (x**2 - 1) ** 2]
+    if line == 6:
+        return [2 * (x**4 - 1)]
+    return []
+
+
+def _make_case(line: int, subfield: Optional[tuple[PrimePower, int]] = None) -> tuple:
+    return (line, line in PARABOLIC_LINES, subfield)
+
+
+def reference_cases_for(q: PrimePower) -> list[tuple]:
+    """The case lines applicable at q, line 7 once per (q0, r) decomposition."""
+    out = []
+    for line in catalog.LINES:
+        if line == 7:
+            for dec in reference_subfield_decompositions(q):
+                out.append(_make_case(7, dec))
+        elif reference_applies(line, q):
+            out.append(_make_case(line))
+    return out

@@ -1,4 +1,11 @@
+import math
+
 import pytest
+from helpers import (
+    reference_cases_for,
+    reference_su_level_order,
+    reference_subdegree_divisors,
+)
 
 from psu4designs import catalog
 from psu4designs.catalog import (
@@ -113,8 +120,30 @@ def test_line13_not_at_q3():
 
 
 def test_inconsistent_order_detected(monkeypatch):
-    monkeypatch.setattr(catalog, "_su_level_order", lambda line, q, s: 7)
+    row = catalog._ROWS[1]._replace(su_order=lambda x, d, x0: 7)
+    monkeypatch.setitem(catalog._ROWS, 1, row)
     case = case_for(1, Q2)
     with pytest.raises(CatalogError):
         case.point_count(Q2)
 
+
+def test_rows_match_reference_chains():
+    """Each line's row gives what the replaced ``if line ==`` chains gave, at
+    every prime power up to 10^4; at 2^15 and 3^15, whose line 7 has two
+    subfield decompositions each; and at 2^21 and 2^25."""
+    extra = [PrimePower.of(p, a) for p, a in ((2, 15), (3, 15), (2, 21), (2, 25))]
+    qs = prime_powers_up_to(10**4) + extra
+    for q in qs:
+        cases = cases_for(q)
+        want = reference_cases_for(q)
+        assert [(c.line, c.parabolic, c.subfield) for c in cases] == want, q.q
+        d = math.gcd(4, q.q + 1)
+        for case in cases:
+            su = reference_su_level_order(case.line, q, case.subfield)
+            h0, rest = divmod(su, d)
+            assert rest == 0
+            assert case.su_level_order(q) == su
+            assert case.h0_order(q) == h0
+            assert case.point_count(q) == socle_order(q) // h0
+            assert case.k_divisor_bound(q) == out_order(q) * h0
+            assert case.subdegree_divisors(q) == reference_subdegree_divisors(case.line, q)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     CounterRefineIsoSearch,
+    brute_force_isomorphic,
     reference_build,
     reference_find_isomorphism,
     reference_pair_profiles,
@@ -336,6 +338,63 @@ def test_search_matches_reference_on_random_structures():
             early += 1
             assert got is None
     assert early >= 100, early
+
+
+# ROADMAP item 3's reproducers: points told apart by replication number
+# alone, which the pair profiles never see
+IRREGULAR_26 = IncidenceStructure(26, (
+    (1, 2, 6, 12, 14, 18), (1, 3, 5, 7), (2, 4, 5, 6, 9, 10, 12, 13, 15, 16, 18, 19, 24, 25),
+    (23,), (0, 4, 5, 6, 7, 8, 10, 16, 19, 21, 22, 23, 25),
+    (2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 22, 23, 24, 25),
+))
+IRREGULAR_26_PERM = [
+    8, 24, 12, 14, 19, 3, 17, 13, 1, 10, 5, 11, 20, 9, 15, 7, 4, 2, 21, 0, 18, 25, 23, 22, 16, 6,
+]
+
+
+@pytest.mark.parametrize("d1, d2", [
+    (IRREGULAR_26, relabel(IRREGULAR_26, IRREGULAR_26_PERM)),
+    (IncidenceStructure(13, ((5,), (5,))), IncidenceStructure(13, ((4,), (4,)))),
+], ids=["v26", "v13-repeated-block"])
+def test_replication_seed_reaches_witness_at_once(monkeypatch, d1, d2):
+    """The root colouring starts from the replication numbers, so the search
+    reaches a witness in at most two leaves where it once tried thousands."""
+    extract, leaves = _IsoSearch._extract, []
+
+    def counted(self, col1, col2):
+        leaves.append(col1)
+        return extract(self, col1, col2)
+
+    monkeypatch.setattr(_IsoSearch, "_extract", counted)
+    witness = find_isomorphism(d1, d2)
+    assert witness is not None and is_isomorphism(d1, d2, witness)
+    assert len(leaves) <= 2
+
+
+def _irregular_structure(rng, v):
+    """b blocks of random sizes on v points; replication numbers vary."""
+    return IncidenceStructure(v, tuple(
+        tuple(sorted(rng.sample(range(v), rng.randint(1, v)))) for _ in range(rng.randint(1, 5))
+    ))
+
+
+def test_search_agrees_with_brute_force_on_irregular_structures():
+    """Yes/no answers on small irregular structures, against every bijection:
+    each structure against a relabelling of itself and against another with
+    the same block sizes."""
+    rng = random.Random(1414)
+    answers = Counter()
+    for _ in range(300):
+        d = _irregular_structure(rng, rng.randint(1, 6))
+        perm = list(range(d.v))
+        rng.shuffle(perm)
+        for other in (relabel(d, perm), _same_block_sizes(rng, d)):
+            got = find_isomorphism(d, other)
+            want = brute_force_isomorphic(d, other)
+            assert (got is not None) == want, (d, other)
+            assert got is None or is_isomorphism(d, other, got)
+            answers[want] += 1
+    assert answers[True] >= 300 and answers[False] >= 100, answers
 
 
 def test_refine_matches_counter_refine(built):

@@ -54,7 +54,7 @@ RECORDS = {
     "DesignParams": (lambda: exactmath.DesignParams(36, 15, 6), ("v", "k", "lam")),
     "ProjectivePoint": (lambda: geometry.ProjectivePoint((0, 1, 2)), ("coords",)),
     "SubgroupCase": (lambda: catalog.cases_for(exactmath.PrimePower.of(2, 1))[0],
-                     ("line", "parabolic", "subfield")),
+                     ("line", "subfield")),
     "IncidenceStructure": (_fano, ("v", "blocks")),
     "VerificationFailure": (lambda: designs.VerificationFailure("point_pair", (0, 1)),
                             ("axiom", "witness")),
@@ -87,6 +87,11 @@ def test_record_contract(name):
     with pytest.raises(AttributeError):
         setattr(record, names[0], values[0])
     assert type(record)(*values) == record
+
+
+def test_subgroup_case_parabolic_is_derived():
+    """``SubgroupCase.parabolic`` is read from the line, not stored."""
+    assert [line for line in catalog.LINES if catalog.SubgroupCase(line).parabolic] == [1, 2]
 
 
 @pytest.mark.parametrize("make, message", [

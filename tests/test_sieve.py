@@ -3,7 +3,7 @@ import random
 import pytest
 from helpers import brute_force_candidates, divisor_scan, exhaustive_cap, reference_k_search
 
-from psu4designs import sieve
+from psu4designs import catalog, sieve
 from psu4designs.catalog import case_for, cases_for
 from psu4designs.exactmath import _TRIAL_LIMIT, DesignParams, PrimePower, primes_up_to
 from psu4designs.sieve import (
@@ -343,3 +343,13 @@ def test_k_search_factors_only_trial_proven_numbers(monkeypatch):
     scan_all(13, 3)
     assert len(factored) > 100
     assert max(factored) < _TRIAL_LIMIT**2
+
+
+def test_table9_enumerates_each_prime_once(monkeypatch):
+    """Table 9 reads the cases of each prime q <= 200 from one enumeration,
+    not once more per fixed-group line through ``cube_prefilter``."""
+    cases, calls = catalog.cases_for, []
+    monkeypatch.setattr(catalog, "cases_for", lambda q: calls.append(q.q) or cases(q))
+    bound_table("9")
+    assert calls == primes_up_to(200)
+    assert len(calls) == 46
