@@ -12,6 +12,11 @@ symmetric-design constraints:
         D is first narrowed to gcd(D, v-1)),
   (vi)  for a non-parabolic stabiliser, gcd(p, v-1) = 1 must hold at all.
 
+Only (i), (v) and (vi) are tested: the residue walk yields only k with
+2 < k < v-1, and for those (ii)-(iv) are identities.  (ii) and (iii) both
+reduce to k < v, and 4*lambda*(v-1) + 1 = 4k(k-1) + 1 = (2k-1)^2.
+``DesignParams`` still checks all of them on every candidate.
+
 No lower bound beyond lambda >= 1 is imposed, so the scan is deliberately
 conservative: surviving parameter triples are classified against the known
 designs at q=2, and anything else feasible is reported as unresolved rather
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from math import isqrt
 from typing import NamedTuple, Optional
 
 from . import catalog
@@ -54,8 +58,6 @@ UNRESOLVED = "unresolved"
 
 # rejection / elimination reason codes
 NO_K_DIVISOR = "NO_K_DIVISOR"
-LAMBDA_BOUND_FAIL = "LAMBDA_BOUND_FAIL"
-SQUARE_FAIL = "SQUARE_FAIL"
 SUBDEG_FAIL = "SUBDEG_FAIL"
 TITS_FAIL = "TITS_FAIL"
 CUBE_PREFILTER = "CUBE_PREFILTER"
@@ -63,7 +65,7 @@ CUBE_PREFILTER = "CUBE_PREFILTER"
 # stage depth of the per-k rejection codes; an eliminated case is summarised
 # by the deepest stage any k reached.  NO_K_DIVISOR counts the residues k
 # allowed by (v-1) | k(k-1) that do not divide the k-bound
-_STAGE = {NO_K_DIVISOR: 0, LAMBDA_BOUND_FAIL: 1, SQUARE_FAIL: 2, SUBDEG_FAIL: 3}
+_STAGE = {NO_K_DIVISOR: 0, SUBDEG_FAIL: 1}
 
 # parameter triples of the known flag-transitive point-primitive designs,
 # all at q=2
@@ -109,27 +111,14 @@ def _k_search(
             rejections[NO_K_DIVISOR] += 1
             continue
         lam = k * (k - 1) // vm1
-        if lam >= k or lam * v >= k * k:
-            rejections[LAMBDA_BOUND_FAIL] += 1
-            continue
-        disc = 4 * lam * vm1 + 1
-        root = isqrt(disc)
-        if root * root != disc:
-            rejections[SQUARE_FAIL] += 1
-            continue
-        checks = []
-        ok = True
-        for d_raw, d_eff in zip(subdeg, effective):
-            if (lam * d_eff) % k:
-                ok = False
-                break
-            checks.append(
-                {"bound": d_raw, "applied": d_eff, "multiplier": lam * d_eff // k}
-            )
-        if not ok:
+        if any(lam * d % k for d in effective):
             rejections[SUBDEG_FAIL] += 1
             continue
-        trace = {"square_root": root, "subdegree_checks": checks}
+        checks = [
+            {"bound": d_raw, "applied": d_eff, "multiplier": lam * d_eff // k}
+            for d_raw, d_eff in zip(subdeg, effective)
+        ]
+        trace = {"square_root": 2 * k - 1, "subdegree_checks": checks}
         candidates.append((DesignParams(v, k, lam), trace))
     return FeasibilityResult(candidates, dict(rejections))
 
@@ -144,7 +133,9 @@ def feasible_candidates(
 def cube_prefilter(line: int, q: PrimePower) -> bool:
     """Order test |X| <= |Out(X)|^2 * |H0|^3 for the fixed-group lines.
 
-    True means the case survives to the k-search.
+    True means the case survives to the k-search.  As v = |X|/|H0| and the
+    k-bound is |Out(X)|*|H0|, the test reads v <= k-bound^2; when it fails,
+    every k > 1 dividing the bound has 0 < k(k-1) < v-1, so (i) fails too.
     """
     if line not in FIXED_GROUP_LINES:
         raise ValueError("cube prefilter applies to the fixed-group lines only")
@@ -173,50 +164,34 @@ class CaseOutcome(NamedTuple):
         return (self.line, self.q.q, q0)
 
 
-def _classify(params: DesignParams, q: PrimePower) -> str:
-    if q.q == 2 and params.triple() in KNOWN_DESIGN_PARAMS:
-        return SURVIVOR
-    return UNRESOLVED
-
-
 def scan_case(
     line: int, q: PrimePower, subfield: Optional[tuple[PrimePower, int]] = None
 ) -> CaseOutcome:
     """Run the sieve on one applicable (line, q) pair."""
-    case = case_for(line, q, subfield)
-    return _scan_instance(case, q)
+    return _scan_instance(case_for(line, q, subfield), q)
 
 
 def _scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
-    line = case.line
     v = case.point_count(q)
     k_bound = case.k_divisor_bound(q)
-    if line in FIXED_GROUP_LINES and not _cube_holds(case, q):
-        return CaseOutcome(
-            line, q, v, k_bound, ELIMINATED, CUBE_PREFILTER, [], {}, case.subfield
-        )
-    result = _k_search(v, k_bound, case.subdegree_divisors(q), q.p, case.parabolic)
-    if result.tits_violated:
-        return CaseOutcome(
-            line, q, v, k_bound, ELIMINATED, TITS_FAIL, [], {}, case.subfield
-        )
-    if result.candidates:
-        classes = []
-        for params, trace in result.candidates:
-            cls = _classify(params, q)
-            trace["classification"] = cls
-            classes.append(cls)
-        status = SURVIVOR if all(c == SURVIVOR for c in classes) else UNRESOLVED
-        return CaseOutcome(
-            line, q, v, k_bound, status, None,
-            result.candidates, result.rejections, case.subfield,
-        )
-    if result.rejections:
-        reason = max(result.rejections, key=lambda r: _STAGE[r])
+    if case.line in FIXED_GROUP_LINES and not _cube_holds(case, q):
+        candidates, rejections, reason = [], {}, CUBE_PREFILTER
     else:
-        reason = NO_K_DIVISOR
+        candidates, rejections, tits_violated = _k_search(
+            v, k_bound, case.subdegree_divisors(q), q.p, case.parabolic
+        )
+        deepest = max(rejections, key=_STAGE.get, default=NO_K_DIVISOR)
+        reason = TITS_FAIL if tits_violated else deepest
+    for params, trace in candidates:
+        known = q.q == 2 and params.triple() in KNOWN_DESIGN_PARAMS
+        trace["classification"] = SURVIVOR if known else UNRESOLVED
+    classes = {trace["classification"] for _, trace in candidates}
+    status = ELIMINATED
+    if classes:
+        status = UNRESOLVED if UNRESOLVED in classes else SURVIVOR
+        reason = None
     return CaseOutcome(
-        line, q, v, k_bound, ELIMINATED, reason, [], result.rejections, case.subfield
+        case.line, q, v, k_bound, status, reason, candidates, rejections, case.subfield
     )
 
 

@@ -85,13 +85,11 @@ from psu4designs.permgroup import (
     inverse,
     orbit,
 )
-from psu4designs.sieve import (
-    LAMBDA_BOUND_FAIL,
-    NO_K_DIVISOR,
-    SQUARE_FAIL,
-    SUBDEG_FAIL,
-    FeasibilityResult,
-)
+from psu4designs.sieve import NO_K_DIVISOR, SUBDEG_FAIL, FeasibilityResult
+
+# stage codes for (ii)-(iii) and (iv): the reference tests them, the sieve does not
+LAMBDA_BOUND_FAIL = "LAMBDA_BOUND_FAIL"
+SQUARE_FAIL = "SQUARE_FAIL"
 
 
 def brute_force_candidates(v, k_bound, subdeg, p, parabolic, k_cap=10**6):

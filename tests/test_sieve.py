@@ -1,15 +1,19 @@
 import random
+from collections import Counter
 
 import pytest
 from helpers import brute_force_candidates, divisor_scan, exhaustive_cap, reference_k_search
 
 from psu4designs import catalog, sieve
 from psu4designs.catalog import case_for, cases_for
-from psu4designs.exactmath import _TRIAL_LIMIT, DesignParams, PrimePower, primes_up_to
+from psu4designs.exactmath import (
+    _TRIAL_LIMIT, DesignParams, PrimePower, prime_powers_up_to, primes_up_to,
+)
 from psu4designs.sieve import (
     CUBE_PREFILTER,
     ELIMINATED,
     NO_K_DIVISOR,
+    SUBDEG_FAIL,
     SURVIVOR,
     TITS_FAIL,
     UNRESOLVED,
@@ -353,3 +357,49 @@ def test_table9_enumerates_each_prime_once(monkeypatch):
     bound_table("9")
     assert calls == primes_up_to(200)
     assert len(calls) == 46
+
+
+def test_cube_prefilter_never_decides_a_status():
+    """The prefilter fails exactly when v > k-bound^2 (v = |X|/|H0| and the
+    k-bound is |Out(X)|*|H0|).  Then every k > 1 dividing the bound has
+    0 < k(k-1) < v-1, so (v-1) does not divide k(k-1) and the k-search finds
+    nothing either: the prefilter only names the reason (paper table 9)."""
+    checked = 0
+    for p_max, a_max in ((13, 3), (400, 1)):
+        for oc in scan_all(p_max, a_max).outcomes:
+            if oc.reason != CUBE_PREFILTER:
+                continue
+            case = case_for(oc.line, oc.q, oc.subfield)
+            assert oc.v > oc.k_bound**2, (oc.line, oc.q.q)
+            subdeg = case.subdegree_divisors(oc.q)
+            assert feasible_candidates(oc.v, oc.k_bound, subdeg, oc.q.p, case.parabolic) == []
+            checked += 1
+    assert checked == 158
+
+
+def test_tits_lemma_holds_on_catalog():
+    """p divides v for every non-parabolic case, so gcd(p, v-1) = 1 and
+    stage (vi) never fires on the catalog; it guards arbitrary input only."""
+    checked = 0
+    for q in prime_powers_up_to(10**4):
+        for case in cases_for(q):
+            if not case.parabolic:
+                assert case.point_count(q) % q.p == 0, (case.line, q.q)
+                checked += 1
+    assert checked == 11425
+
+
+@pytest.mark.parametrize("p_max, a_max, cases, reasons, rejections", [
+    (400, 1, 857,
+     {None: 6, NO_K_DIVISOR: 696, SUBDEG_FAIL: 1, CUBE_PREFILTER: 154},
+     {NO_K_DIVISOR: 1868, SUBDEG_FAIL: 1}),
+    (2, 12, 90,
+     {None: 5, NO_K_DIVISOR: 84, SUBDEG_FAIL: 1},
+     {NO_K_DIVISOR: 210, SUBDEG_FAIL: 1}),
+])
+def test_scan_reasons_pinned_on_bench_ranges(p_max, a_max, cases, reasons, rejections):
+    """Per-case reasons and summed rejection counts on the benchmark ranges."""
+    outcomes = scan_all(p_max, a_max).outcomes
+    assert len(outcomes) == cases
+    assert Counter(oc.reason for oc in outcomes) == reasons
+    assert sum((Counter(oc.rejections) for oc in outcomes), Counter()) == rejections
