@@ -160,16 +160,20 @@ class SubgroupCase(NamedTuple):
         return su // d
 
     def point_count(self, q: PrimePower) -> int:
+        return self._index_and_bound(q)[0]
+
+    def k_divisor_bound(self, q: PrimePower) -> int:
+        return out_order(q) * self.h0_order(q)
+
+    def _index_and_bound(self, q: PrimePower) -> tuple[int, int]:
+        """(v, k-bound) from one |X|, |H0| and |Out|; |H0| must divide |X|."""
         order = socle_order(q)
         h0 = self.h0_order(q)
         if order % h0:
             raise CatalogError(
                 f"line {self.line}: |H0|={h0} does not divide |X|={order} at q={q.q}"
             )
-        return order // h0
-
-    def k_divisor_bound(self, q: PrimePower) -> int:
-        return out_order(q) * self.h0_order(q)
+        return order // h0, out_order(q) * h0
 
     def subdegree_divisors(self, q: PrimePower) -> list[int]:
         """Known divisors D with: some subdegree of G divides D.

@@ -27,13 +27,10 @@ certify arithmetically.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import NamedTuple, Optional
 
 from . import catalog
-from .catalog import (
-    FIXED_GROUP_LINES, SubgroupCase, case_for, cases_for, out_order, socle_order,
-)
+from .catalog import FIXED_GROUP_LINES, SubgroupCase, case_for, cases_for
 from .exactmath import DesignParams, PrimePower, factorize, primes_up_to
 
 __all__ = [
@@ -89,30 +86,31 @@ def _k_search(
         return FeasibilityResult([], {}, tits_violated=True)
     vm1 = v - 1
     effective = [math.gcd(d, vm1) if parabolic else d for d in subdeg]
-    rejections: Counter[str] = Counter()
+    rejections: dict[str, int] = {}
     candidates: list[tuple[DesignParams, dict]] = []
-    # gcd(k, k-1) = 1, so each prime power r^e exactly dividing v-1 divides k
-    # or k-1, and k only if r^e | k_bound.  By CRT, k mod v-1 is a*(a^-1 mod
-    # (v-1)/a) for a product a of such r^e; as 2 < k < v-1, each residue is at
-    # most one k.  Only gcd(k_bound, v-1) is factored, never k_bound or v-1:
-    # a prime r of k_bound has gcd(v-1, r^{v_r(k_bound)}) > 1 exactly when it
-    # divides that gcd, and the gcd is then r^e with e = v_r(gcd(k_bound,
-    # v-1)).  So the primes, their ascending order and each g are those of
-    # factoring k_bound, and the parts, residues and counts are unchanged.
-    parts = [1]
+    # gcd(k, k-1) = 1, so each prime power g = r^e exactly dividing v-1
+    # divides k or k-1, and k only if g | k_bound.  The CRT idempotent
+    # E_g = m*(m^-1 mod g), m = (v-1)/g, is 1 mod g and 0 mod m, so k mod v-1
+    # is 1 - (sum of E_g over the g dividing k): one inverse per prime, and
+    # as 2 < k < v-1 each residue is at most one k.  Only gcd(k_bound, v-1)
+    # is factored: a g dividing k_bound is the r-part of that gcd, and a
+    # smaller r-part leaves r | m, which skips r.
+    residues = [1]
     for r, e in factorize(math.gcd(k_bound, vm1)).pairs:
         g = r**e
-        if (vm1 // g) % r:
-            parts += [a * g for a in parts]
-    for k in sorted(a * pow(a, -1, vm1 // a) % vm1 for a in parts):
+        m = vm1 // g
+        if m % r:
+            idem = m * pow(m, -1, g)
+            residues += [(x - idem) % vm1 for x in residues]
+    for k in sorted(residues):
         if k <= 2:
             continue
         if k_bound % k:
-            rejections[NO_K_DIVISOR] += 1
+            rejections[NO_K_DIVISOR] = rejections.get(NO_K_DIVISOR, 0) + 1
             continue
         lam = k * (k - 1) // vm1
         if any(lam * d % k for d in effective):
-            rejections[SUBDEG_FAIL] += 1
+            rejections[SUBDEG_FAIL] = rejections.get(SUBDEG_FAIL, 0) + 1
             continue
         checks = [
             {"bound": d_raw, "applied": d_eff, "multiplier": lam * d_eff // k}
@@ -120,7 +118,7 @@ def _k_search(
         ]
         trace = {"square_root": 2 * k - 1, "subdegree_checks": checks}
         candidates.append((DesignParams(v, k, lam), trace))
-    return FeasibilityResult(candidates, dict(rejections))
+    return FeasibilityResult(candidates, rejections)
 
 
 def feasible_candidates(
@@ -133,17 +131,14 @@ def feasible_candidates(
 def cube_prefilter(line: int, q: PrimePower) -> bool:
     """Order test |X| <= |Out(X)|^2 * |H0|^3 for the fixed-group lines.
 
-    True means the case survives to the k-search.  As v = |X|/|H0| and the
-    k-bound is |Out(X)|*|H0|, the test reads v <= k-bound^2; when it fails,
+    True means the case survives to the k-search.  As v = |X|/|H0| exactly
+    and the k-bound is |Out(X)|*|H0|, it is v <= k-bound^2; when it fails,
     every k > 1 dividing the bound has 0 < k(k-1) < v-1, so (i) fails too.
     """
     if line not in FIXED_GROUP_LINES:
         raise ValueError("cube prefilter applies to the fixed-group lines only")
-    return _cube_holds(case_for(line, q), q)
-
-
-def _cube_holds(case: SubgroupCase, q: PrimePower) -> bool:
-    return socle_order(q) <= out_order(q) ** 2 * case.h0_order(q) ** 3
+    v, k_bound = case_for(line, q)._index_and_bound(q)
+    return v <= k_bound**2
 
 
 class CaseOutcome(NamedTuple):
@@ -172,9 +167,8 @@ def scan_case(
 
 
 def _scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
-    v = case.point_count(q)
-    k_bound = case.k_divisor_bound(q)
-    if case.line in FIXED_GROUP_LINES and not _cube_holds(case, q):
+    v, k_bound = case._index_and_bound(q)
+    if case.line in FIXED_GROUP_LINES and v > k_bound**2:
         candidates, rejections, reason = [], {}, CUBE_PREFILTER
     else:
         candidates, rejections, tits_violated = _k_search(
@@ -363,8 +357,10 @@ def _table9() -> dict:
     for p in primes_up_to(200):
         q = PrimePower.of(p, 1)
         for case in catalog.cases_for(q):
-            if case.line in lines and _cube_holds(case, q):
-                lines[case.line].append(p)
+            if case.line in lines:
+                v, k_bound = case._index_and_bound(q)
+                if v <= k_bound**2:
+                    lines[case.line].append(p)
     return {"lines": lines}
 
 

@@ -11,8 +11,14 @@ returns the candidate traces and the per-stage rejection counts too, so
 agreement with ``sieve._k_search`` checks everything past stage 0.
 
 ``reference_k_search`` is ``sieve._k_search`` as it factored the whole
-k-bound, before it factored only gcd(k-bound, v-1); agreement checks the
-full result, the stage-0 (NO_K_DIVISOR) count included.
+k-bound, before it factored only gcd(k-bound, v-1), with one modular
+inverse per residue, before the residues became subset sums of CRT
+idempotents; agreement checks the full result, the stage-0 (NO_K_DIVISOR)
+count included.
+
+``reference_scan_instance`` is ``sieve._scan_instance`` as it read v, the
+k-bound and the cube test |X| <= |Out|^2 * |H0|^3 from separate catalog
+calls, before it took them from one |X| and one |H0| per case.
 
 ``exhaustive_cap`` tries a fixed 64 exponents for every prime, so agreement
 with ``sieve._cap`` checks the derived exponent ceiling that stops it early.
@@ -64,7 +70,9 @@ from operator import add
 from typing import Optional
 
 from psu4designs import catalog, geometry
-from psu4designs.catalog import PARABOLIC_LINES
+from psu4designs.catalog import (
+    FIXED_GROUP_LINES, PARABOLIC_LINES, SubgroupCase, out_order, socle_order,
+)
 from psu4designs.designs import (
     KIND_POINT_CLASS,
     KINDS,
@@ -85,7 +93,19 @@ from psu4designs.permgroup import (
     inverse,
     orbit,
 )
-from psu4designs.sieve import NO_K_DIVISOR, SUBDEG_FAIL, FeasibilityResult
+from psu4designs.sieve import (
+    CUBE_PREFILTER,
+    ELIMINATED,
+    KNOWN_DESIGN_PARAMS,
+    NO_K_DIVISOR,
+    SUBDEG_FAIL,
+    SURVIVOR,
+    TITS_FAIL,
+    UNRESOLVED,
+    CaseOutcome,
+    FeasibilityResult,
+)
+from psu4designs.sieve import _STAGE, _k_search
 
 # stage codes for (ii)-(iii) and (iv): the reference tests them, the sieve does not
 LAMBDA_BOUND_FAIL = "LAMBDA_BOUND_FAIL"
@@ -218,6 +238,32 @@ def reference_k_search(
         trace = {"square_root": root, "subdegree_checks": checks}
         candidates.append((DesignParams(v, k, lam), trace))
     return FeasibilityResult(candidates, dict(rejections))
+
+
+def reference_scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
+    v = case.point_count(q)
+    k_bound = case.k_divisor_bound(q)
+    if case.line in FIXED_GROUP_LINES and not (
+        socle_order(q) <= out_order(q) ** 2 * case.h0_order(q) ** 3
+    ):
+        candidates, rejections, reason = [], {}, CUBE_PREFILTER
+    else:
+        candidates, rejections, tits_violated = _k_search(
+            v, k_bound, case.subdegree_divisors(q), q.p, case.parabolic
+        )
+        deepest = max(rejections, key=_STAGE.get, default=NO_K_DIVISOR)
+        reason = TITS_FAIL if tits_violated else deepest
+    for params, trace in candidates:
+        known = q.q == 2 and params.triple() in KNOWN_DESIGN_PARAMS
+        trace["classification"] = SURVIVOR if known else UNRESOLVED
+    classes = {trace["classification"] for _, trace in candidates}
+    status = ELIMINATED
+    if classes:
+        status = UNRESOLVED if UNRESOLVED in classes else SURVIVOR
+        reason = None
+    return CaseOutcome(
+        case.line, q, v, k_bound, status, reason, candidates, rejections, case.subfield
+    )
 
 
 def all_reflections_action(point_class):

@@ -302,7 +302,8 @@ def _random_replicated_structure(rng):
     """Every point on the same number r of b blocks; the block sizes and the
     pair counts are whatever the draw gives.  The pair profiles never see a
     point's replication number, so where points differ in it alone both
-    searches can try up to (v-1)! leaves (ROADMAP item 6)."""
+    searches can try up to (v-1)! leaves (ROADMAP, "an iso search with a
+    budget")."""
     v, b = rng.randint(2, 14), rng.randint(1, 16)
     blocks = [[] for _ in range(b)]
     r = rng.randint(0, b)
@@ -340,8 +341,8 @@ def test_search_matches_reference_on_random_structures():
     assert early >= 100, early
 
 
-# ROADMAP item 3's reproducers: points told apart by replication number
-# alone, which the pair profiles never see
+# The reproducers of ROADMAP's iso-search items: points told apart by
+# replication number alone, which the pair profiles never see
 IRREGULAR_26 = IncidenceStructure(26, (
     (1, 2, 6, 12, 14, 18), (1, 3, 5, 7), (2, 4, 5, 6, 9, 10, 12, 13, 15, 16, 18, 19, 24, 25),
     (23,), (0, 4, 5, 6, 7, 8, 10, 16, 19, 21, 22, 23, 25),

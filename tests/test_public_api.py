@@ -1,7 +1,11 @@
+import ast
 import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
+import psu4designs
 from psu4designs import catalog, designs, exactmath, geometry, permgroup, sieve
 
 MODULES = ("exactmath", "catalog", "sieve", "geometry", "designs", "permgroup")
@@ -115,3 +119,22 @@ def test_record_checks(make, message):
     """Constructing a record runs its checks, with their messages."""
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_runtime_imports_are_stdlib_only():
+    """Zero runtime dependencies: every import in the package's modules is a
+    standard-library module or the package itself."""
+    checked = 0
+    for path in sorted(Path(psu4designs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.level == 0 else ["psu4designs"]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "psu4designs", (path.name, name)
+                checked += 1
+    assert checked > 30

@@ -2,7 +2,10 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import brute_force_candidates, divisor_scan, exhaustive_cap, reference_k_search
+from helpers import (
+    brute_force_candidates, divisor_scan, exhaustive_cap, reference_k_search,
+    reference_scan_instance,
+)
 
 from psu4designs import catalog, sieve
 from psu4designs.catalog import case_for, cases_for
@@ -17,12 +20,14 @@ from psu4designs.sieve import (
     SURVIVOR,
     TITS_FAIL,
     UNRESOLVED,
+    CaseOutcome,
     bound_table,
     bound_tables,
     cube_prefilter,
     feasible_candidates,
     scan_all,
     scan_case,
+    scan_range,
 )
 from psu4designs.sieve import _STAGE, _cap, _k_search, _t4_holds, _t6_holds, _t7_holds, _t8_holds
 
@@ -347,6 +352,45 @@ def test_k_search_factors_only_trial_proven_numbers(monkeypatch):
     scan_all(13, 3)
     assert len(factored) > 100
     assert max(factored) < _TRIAL_LIMIT**2
+
+
+# The scan ranges over which every refactor of the sieve has kept its
+# outcomes byte-identical.
+BYTE_IDENTITY_RANGES = [(13, 3), (400, 1), (2, 12), (1000, 1), (60, 4), (3, 9), (31, 3), (7, 6)]
+
+# is_prime's 13 Miller-Rabin witnesses (the primes up to 41) prove primality
+# below this bound (Sorenson and Webster, 2015).
+MILLER_RABIN_PROVEN = 3_317_044_064_679_887_385_961_981
+
+
+def test_k_search_factors_only_miller_rabin_proven_numbers(monkeypatch):
+    """Every number the k-search factors over the byte-identity ranges is
+    below the bound up to which is_prime's Miller-Rabin is proven, so no
+    factor it reports is only probably prime.  The largest is at (60, 4)."""
+    factorize, factored = sieve.factorize, []
+    monkeypatch.setattr(sieve, "factorize", lambda n: factored.append(n) or factorize(n))
+    largest = {}
+    for p_max, a_max in BYTE_IDENTITY_RANGES:
+        factored.clear()
+        scan_all(p_max, a_max)
+        largest[p_max, a_max] = max(factored)
+    assert max(largest.values()) < MILLER_RABIN_PROVEN
+    assert max(largest, key=largest.get) == (60, 4)
+
+
+@pytest.mark.parametrize("p_max, a_max", BYTE_IDENTITY_RANGES)
+def test_scan_matches_reference_scan_instance(p_max, a_max):
+    """Reading v, the k-bound and the cube test from one |X| and one |H0| per
+    case gives, outcome by outcome and byte for byte, the outcomes of the
+    separate catalog calls and the cube test |X| <= |Out|^2 * |H0|^3."""
+    got = scan_all(p_max, a_max).outcomes
+    want = sorted(
+        (reference_scan_instance(case, q) for q in scan_range(p_max, a_max) for case in cases_for(q)),
+        key=CaseOutcome.sort_key,
+    )
+    assert len(got) == len(want) > 0
+    for outcome, expected in zip(got, want):
+        assert repr(outcome) == repr(expected), (outcome.line, outcome.q.q, outcome.subfield)
 
 
 def test_table9_enumerates_each_prime_once(monkeypatch):
