@@ -6,8 +6,12 @@ guards against misuse at degrees beyond 10^4, where a serious stabilizer
 chain implementation would be called for.
 
 Composition runs through ``operator.itemgetter``, which picks all the images
-in one C call, and primitivity closes one block per orbit of a point
-stabilizer rather than one per point.
+in one C call.  Both group checks are orbit closures: primitivity takes the
+orbit of 0 under the stabilizer of 0 and one coset representative per
+suborbit (the blocks through 0 are the orbits of 0 under the overgroups of
+the stabilizer, Dixon & Mortimer, Permutation Groups, Thm 1.5A), and
+flag-transitivity takes one flag's orbit under the generator pairs acting
+on the flags coded as integers.
 """
 
 from __future__ import annotations
@@ -254,8 +258,10 @@ def is_flag_transitive(
     design: IncidenceStructure,
     block_action: PermutationAction,
 ) -> bool:
-    """True iff one flag's orbit under the simultaneous action covers all
-    flags.  The generator pairing is checked for compatibility first."""
+    """True iff one flag's orbit under the paired generators covers all
+    flags.  A pair (g, h) permutes the flags exactly when g maps each block
+    b onto block h(b), so a pair sending some flag to a non-flag is rejected.
+    """
     blocks = design.blocks
     if action.degree != design.v:
         raise ValueError("point action degree differs from the point count")
@@ -263,87 +269,46 @@ def is_flag_transitive(
         raise ValueError("block action degree differs from the block count")
     if len(action.generators) != len(block_action.generators):
         raise ValueError("generator lists are not paired")
-    pairs = list(zip(action.generators, block_action.generators))
-    for g, h in pairs:
-        get = g.__getitem__
-        for block, hb in zip(blocks, h):
-            if tuple(sorted(map(get, block))) != blocks[hb]:
-                raise ValueError("incompatible generator pair: block image mismatch")
-    total = sum(map(len, blocks))
-    if not total:
-        return False
-    # The flag (x, b) is searched as the integer x * nb + b.  The search
-    # starts at the least flag: the least point on some block, with the
-    # least block through it (blocks are sorted, so block[0] is its least).
+    # The flag (x, b) is coded as x * nb + b and indexed in block order.
     nb = len(blocks)
-    x = min(block[0] for block in blocks if block)
-    start = x * nb + next(b for b, block in enumerate(blocks) if x in block)
-    seen = {start}
-    queue = [start]
-    while queue:
-        pt, blk = divmod(queue.pop(), nb)
-        for g, h in pairs:
-            nxt = g[pt] * nb + h[blk]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == total
+    flags = [(x, b) for b, block in enumerate(blocks) for x in block]
+    index = {x * nb + b: i for i, (x, b) in enumerate(flags)}
+    flag_gens = []
+    for g, h in zip(action.generators, block_action.generators):
+        try:
+            flag_gens.append(tuple([index[g[x] * nb + h[b]] for x, b in flags]))
+        except KeyError:
+            raise ValueError("incompatible generator pair: block image mismatch") from None
+    return bool(flags) and len(_closure(flag_gens, 0)) == len(flags)
 
 
-def _closure_is_trivial(gens: Sequence[Permutation], n: int, beta: int) -> bool:
-    """True iff the finest congruence merging {0, beta} is the full set."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    classes = n
-    queue = [(0, beta)]
-    ra, rb = find(0), find(beta)
-    if ra != rb:
-        parent[ra] = rb
-        classes -= 1
-    while queue:
-        x, y = queue.pop()
-        for g in gens:
-            a, b = find(g[x]), find(g[y])
-            if a != b:
-                parent[a] = b
-                classes -= 1
-                queue.append((g[x], g[y]))
-    return classes == 1
-
-
-def _suborbits(action: PermutationAction, point: int) -> list[set[int]]:
-    """The orbits of the stabilizer of the point (Schreier generators),
-    ordered by their least points."""
-    n = action.degree
-    trans = _orbit_transversal(action.generators, point, n)
-    return _orbits(_schreier_generators(action.generators, trans), n)
+def _stabilizer(
+    gens: Sequence[Permutation], point: int, n: int
+) -> tuple[dict[int, Permutation], list[Permutation]]:
+    """The transversal of the point's orbit and the Schreier generators of
+    its stabilizer."""
+    trans = _orbit_transversal(gens, point, n)
+    return trans, _schreier_generators(gens, trans)
 
 
 def is_primitive(action: PermutationAction) -> bool:
-    """True iff the (transitive) action preserves no nontrivial partition.
+    """True iff the (transitive) action preserves no nontrivial partition,
+    that is, iff for one beta per nontrivial suborbit of G_0 the orbit of 0
+    under <G_0, t_beta> is the whole set.
 
     Raises NotTransitiveError on intransitive input.
     """
     n = action.degree
     if len(orbit(action, 0)) != n:
         raise NotTransitiveError("action is not transitive")
-    if n <= 2:
-        return True
-    # A transitive action is primitive iff, for every beta != 0, the least
-    # block through {0, beta} (in the finest invariant partition joining
-    # them) is the whole set.  An h in G fixing 0 maps the least block
-    # through {0, beta} onto the least block through {0, h beta}, so the
-    # answer is the same on a whole suborbit and one beta per suborbit
-    # decides it.  The first suborbit is {0}.
+    # The blocks through 0 are the orbits H(0) of the groups G_0 <= H <= G
+    # (Dixon & Mortimer, Thm 1.5A).  Every element taking 0 to beta lies in
+    # t_beta G_0, so the least block through {0, beta} is the orbit of 0
+    # under <G_0, t_beta>.  An h in G_0 maps it onto the least block through
+    # {0, h beta}, so one beta per suborbit decides; the first is {0}.
+    trans, stab = _stabilizer(action.generators, 0, n)
     return all(
-        _closure_is_trivial(action.generators, n, min(o))
-        for o in _suborbits(action, 0)[1:]
+        len(_closure(stab + [trans[min(o)]], 0)) == n for o in _orbits(stab, n)[1:]
     )
 
 
@@ -355,7 +320,7 @@ def stabilizer_orbit_sizes(action: PermutationAction, point: int) -> list[int]:
         raise ValueError("point out of range")
     if len(orbit(action, 0)) != n:
         raise NotTransitiveError("action is not transitive")
-    return sorted(map(len, _suborbits(action, point)))
+    return sorted(map(len, _orbits(_stabilizer(action.generators, point, n)[1], n)))
 
 
 # The lexicographically first generating 5-subset of the 81 mirrors; greedy

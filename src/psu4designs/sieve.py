@@ -318,8 +318,8 @@ def _table3() -> dict:
     rows = {}
     for x in (2, 3, 4, 5, 8):
         q = PrimePower.from_value(x)
-        case = case_for(4, q)
-        rows[x] = {"v": case.point_count(q), "k_divides": case.k_divisor_bound(q)}
+        v, k_bound = case_for(4, q)._index_and_bound(q)
+        rows[x] = {"v": v, "k_divides": k_bound}
     return {"rows": rows}
 
 

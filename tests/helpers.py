@@ -49,7 +49,12 @@ image, before Gram-row dot products and the table of point multiples.
 them before composing through ``operator.itemgetter``: the chain builds
 every coset representative and Schreier generator with a generator
 expression, primitivity closes a block for every point but 0, and the flag
-search runs on (point, block) tuples from ``designs.flags``.
+search runs on (point, block) tuples from ``designs.flags`` after re-sorting
+every block image under every generator.  ``_closure_is_trivial`` is the
+union-find that closed each of those blocks in ``permgroup`` too, before
+primitivity became one orbit of 0 per suborbit under the stabilizer of 0
+and a coset representative; agreement checks that orbit test against the
+finest congruence through every {0, beta}.
 ``reference_projective_points`` normalises every nonzero vector and sorts
 the set of normal forms.  Both it and ``reference_induce`` take normal
 forms with ``normalize``, which scales a vector so that its first nonzero
@@ -67,7 +72,7 @@ from collections import Counter
 from itertools import permutations, product
 from math import gcd, isqrt
 from operator import add
-from typing import Optional
+from typing import Optional, Sequence
 
 from psu4designs import catalog, geometry
 from psu4designs.catalog import (
@@ -84,9 +89,9 @@ from psu4designs.designs import (
 from psu4designs.exactmath import DesignParams, PrimePower, factorize
 from psu4designs.permgroup import (
     NotTransitiveError,
+    Permutation,
     PermutationAction,
     StabilizerChain,
-    _closure_is_trivial,
     _orbits,
     identity_perm,
     induce,
@@ -493,6 +498,33 @@ def reference_stabilizer_chain(action):
         order *= len(trans)
         gens = _reference_schreier_generators(gens, trans)
     return StabilizerChain(tuple(base), tuple(transversals), order)
+
+
+def _closure_is_trivial(gens: Sequence[Permutation], n: int, beta: int) -> bool:
+    """True iff the finest congruence merging {0, beta} is the full set."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    classes = n
+    queue = [(0, beta)]
+    ra, rb = find(0), find(beta)
+    if ra != rb:
+        parent[ra] = rb
+        classes -= 1
+    while queue:
+        x, y = queue.pop()
+        for g in gens:
+            a, b = find(g[x]), find(g[y])
+            if a != b:
+                parent[a] = b
+                classes -= 1
+                queue.append((g[x], g[y]))
+    return classes == 1
 
 
 def reference_is_primitive(action):

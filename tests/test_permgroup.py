@@ -386,6 +386,7 @@ def _primitivity_cases():
         _union(_dihedral(4), symmetric_action(4)),
         _union(cyclic_action(1), _wreath_s2_sk(3)),
         PermutationAction(5, ()),
+        PermutationAction(0, ()),
     ]
     cases += [_random_action(rng, n) for n in range(1, 13) for _ in range(12)]
     return cases
@@ -481,6 +482,19 @@ def test_flag_transitivity_matches_reference(reflection_actions):
             assert got == _outcome(reference_is_flag_transitive, a, design, b)
             outcomes.add(got)
     assert {True, False} <= outcomes
+    # block actions given directly, as induced_block_action rejects repeated
+    # blocks: each block of twins paired with its copy, and a block sent onto
+    # a strict superset of its image
+    twins = IncidenceStructure(2, ((0,), (0,), (1,), (1,)))
+    swap = PermutationAction(2, ((1, 0),))
+    direct = [
+        (PermutationAction(2, ((1, 0), (0, 1))), twins, PermutationAction(4, ((2, 3, 0, 1), (1, 0, 3, 2)))),
+        (swap, twins, PermutationAction(4, ((2, 3, 0, 1),))),
+        (PermutationAction(3, ((0, 1, 2),)), IncidenceStructure(3, ((0,), (0, 1))), swap),
+    ]
+    got = [_outcome(is_flag_transitive, *case) for case in direct]
+    assert got == [_outcome(reference_is_flag_transitive, *case) for case in direct]
+    assert got == [True, False, "incompatible generator pair: block image mismatch"]
     assert "a generator does not permute the blocks" in outcomes
     assert "incompatible generator pair: block image mismatch" in outcomes
     assert "generator lists are not paired" in outcomes
