@@ -38,6 +38,10 @@ EXIT_IO = 3
 
 _GROUP_NAMES = {25920: "PSU4(2)", 51840: "PSU4(2):2"}
 
+# the largest --pmax of ``sieve``: a scan to 10^5 takes 8 s at 70 MB peak RSS
+# on a 2-vCPU Xeon, one to 10^6 over a minute
+_PMAX_CEILING = 10**5
+
 # ---------------------------------------------------------------------------
 # Golden table contents, by table id: {row key: value}.  The ``tables``
 # command recomputes each table from the catalog/inequalities and diffs its
@@ -136,6 +140,9 @@ def cmd_sieve(args: argparse.Namespace) -> int:
     if args.pmax < 2 or args.amax < 1:
         _print("error: need --pmax >= 2 and --amax >= 1")
         return EXIT_USAGE
+    if args.pmax > _PMAX_CEILING:
+        _print(f"error: --pmax above {_PMAX_CEILING} is not supported")
+        return EXIT_USAGE
     lines = None if args.line == "all" else [int(args.line)]
     report = sieve.scan_all(args.pmax, args.amax, lines)
     _print(f"sieve line={args.line} pmax={args.pmax} amax={args.amax}")
@@ -179,23 +186,14 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compared_rows(tid: str, table: dict) -> dict:
-    """The rows of ``bound_table(tid)`` in the shape of ``GOLDEN[tid]``."""
-    if tid in ("3", "7"):  # each row holds (v, k_divides) or (v, m_bound)
-        return {q: tuple(row.values()) for q, row in table["rows"].items()}
-    if tid == "9":
-        return table["lines"]
-    if tid == "8":  # the caps above 1, and any cap the golden table lists
-        return {p: a for p, a in table["caps"].items() if a > 1 or p in GOLDEN["8"]}
-    return table["caps"]
-
-
 def cmd_tables(args: argparse.Namespace) -> int:
     from .sieve import bound_table
 
     tid = args.table
-    table = bound_table(tid)
-    rows, golden, fmt = _compared_rows(tid, table), GOLDEN[tid], _ROW_FORMATS[tid]
+    rows = table = bound_table(tid)
+    golden, fmt = GOLDEN[tid], _ROW_FORMATS[tid]
+    if tid == "8":  # the caps above 1, and any cap the golden table lists
+        rows = {p: a for p, a in table.items() if a > 1 or p in golden}
     reported = GOLDEN_T9_REPORTED if tid == "9" else {}
     # a row found on one side only shows None on the other
     absent = (None, None) if tid == "3" else None
@@ -212,7 +210,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         ok = ok and got == want
         _print("  " + fmt.format(key, got, want) + ("  ok" if got == want else "  MISMATCH"))
     if tid == "8":
-        ones = sorted(p for p, a in table["caps"].items() if a == 1)
+        ones = sorted(p for p, a in table.items() if a == 1)
         got = (len(ones), ones[:2], ones[-1:])
         ok = ok and got == GOLDEN_T8_CAP1
         _print(

@@ -37,7 +37,6 @@ __all__ = [
     "CaseOutcome",
     "ScanReport",
     "feasible_candidates",
-    "cube_prefilter",
     "scan_case",
     "scan_all",
     "bound_table",
@@ -128,19 +127,6 @@ def feasible_candidates(
     return _k_search(v, k_bound, subdeg, p, parabolic).candidates
 
 
-def cube_prefilter(line: int, q: PrimePower) -> bool:
-    """Order test |X| <= |Out(X)|^2 * |H0|^3 for the fixed-group lines.
-
-    True means the case survives to the k-search.  As v = |X|/|H0| exactly
-    and the k-bound is |Out(X)|*|H0|, it is v <= k-bound^2; when it fails,
-    every k > 1 dividing the bound has 0 < k(k-1) < v-1, so (i) fails too.
-    """
-    if line not in FIXED_GROUP_LINES:
-        raise ValueError("cube prefilter applies to the fixed-group lines only")
-    v, k_bound = case_for(line, q)._index_and_bound(q)
-    return v <= k_bound**2
-
-
 class CaseOutcome(NamedTuple):
     """Elimination certificate or candidate list for one (case, q) pair."""
 
@@ -168,6 +154,9 @@ def scan_case(
 
 def _scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
     v, k_bound = case._index_and_bound(q)
+    # cube test |X| <= |Out|^2 |H0|^3 of the fixed-group lines (paper table 9):
+    # v = |X|/|H0| and the k-bound is |Out|*|H0|, so it fails exactly when v >
+    # k-bound^2, and then each k > 1 dividing the bound has 0 < k(k-1) < v-1
     if case.line in FIXED_GROUP_LINES and v > k_bound**2:
         candidates, rejections, reason = [], {}, CUBE_PREFILTER
     else:
@@ -314,71 +303,49 @@ def _cap(holds, p: int) -> int:
     return best
 
 
-def _table3() -> dict:
-    rows = {}
-    for x in (2, 3, 4, 5, 8):
-        q = PrimePower.from_value(x)
-        v, k_bound = case_for(4, q)._index_and_bound(q)
-        rows[x] = {"v": v, "k_divides": k_bound}
-    return {"rows": rows}
+def _caps(holds, primes: list[int]) -> dict[int, int]:
+    """{p: _cap(holds, p)} over the primes whose cap is nonzero."""
+    return {p: c for p in primes if (c := _cap(holds, p))}
 
 
-# tables 4, 6 and 8 stop at the ceiling: a prime above it fails at every
-# exponent
-def _table4() -> dict:
-    return {"caps": {p: c for p in primes_up_to(_Q_CEILING) if (c := _cap(_t4_holds, p))}}
-
-
-def _table6() -> dict:
-    return {"caps": {p: c for p in primes_up_to(_Q_CEILING) if (c := _cap(_t6_holds, p))}}
-
-
-def _table7() -> dict:
-    # the cut-off is one-sided: a_max is the largest exponent where the
-    # inequality holds, and every 1 < a <= a_max is tabulated
-    rows = {}
-    for a in range(2, _cap(_t7_holds, 2) + 1):
-        x = 2**a
-        rows[x] = {
-            "v": x * x * (x**3 + 1),
-            "m_bound": math.gcd(5, x - 2) * a,
-        }
-    return {"rows": rows}
-
-
-def _table8() -> dict:
-    # the s = gcd(q+2,5)*gcd(q-1,7) factor makes pass/fail non-monotone in p,
-    # so every odd prime below the ceiling is tried
-    return {"caps": {p: c for p in primes_up_to(_Q_CEILING)[1:] if (c := _cap(_t8_holds, p))}}
-
-
-def _table9() -> dict:
+def _table9() -> dict[int, list[int]]:
     lines: dict[int, list[int]] = {line: [] for line in FIXED_GROUP_LINES}
     for p in primes_up_to(200):
         q = PrimePower.of(p, 1)
         for case in catalog.cases_for(q):
-            if case.line in lines:
-                v, k_bound = case._index_and_bound(q)
-                if v <= k_bound**2:
-                    lines[case.line].append(p)
-    return {"lines": lines}
+            if case.line in lines and _scan_instance(case, q).reason != CUBE_PREFILTER:
+                lines[case.line].append(p)
+    return lines
 
 
+# Tables 4, 6 and 8 stop at the ceiling, as a prime above it fails at every
+# exponent; table 8's s factor makes pass/fail non-monotone in p, so it tries
+# every odd prime.  Table 7 has every 1 < a <= a_max, v = q^2(q^3+1), q = 2^a.
 _TABLES = {
-    "3": _table3, "4": _table4, "6": _table6, "7": _table7, "8": _table8, "9": _table9,
+    "3": lambda: {
+        q.q: case_for(4, q)._index_and_bound(q)
+        for q in map(PrimePower.from_value, (2, 3, 4, 5, 8))
+    },
+    "4": lambda: _caps(_t4_holds, primes_up_to(_Q_CEILING)),
+    "6": lambda: _caps(_t6_holds, primes_up_to(_Q_CEILING)),
+    "7": lambda: {
+        2**a: (4**a * (8**a + 1), math.gcd(5, 2**a - 2) * a)
+        for a in range(2, _cap(_t7_holds, 2) + 1)
+    },
+    "8": lambda: _caps(_t8_holds, primes_up_to(_Q_CEILING)[1:]),
+    "9": _table9,
 }
 
 
 def bound_table(tid: str) -> dict:
-    """Recompute one golden bound table from the catalog and inequalities.
+    """Bound table ``tid`` as the {row key: value} rows ``tables`` compares.
 
-    The ids are those of the ``tables`` CLI command:
-      "3" - (v, k-bound) of line 4 at q in {2,3,4,5,8}
-      "4" - (p, max a) caps for line 5
-      "6" - (p, max a) caps for line 6
-      "7" - (q, v, m-bound) rows for line 8 with q = 2^a, 1 < a
-      "8" - (p, max a) caps for line 8 with q odd
-      "9" - cube-prefilter survivors per fixed-group line
+      "3" - q -> (v, k-bound) of line 4, q in {2,3,4,5,8}
+      "4" - p -> max a with the line-5 cut-off holding, for p with a >= 1
+      "6" - p -> max a with the line-6 cut-off holding, for p with a >= 1
+      "7" - q -> (v, m-bound) of line 8 with q = 2^a, 1 < a <= a_max
+      "8" - odd p -> max a with the line-8 (q odd) cut-off holding, a >= 1
+      "9" - fixed-group line -> the primes q <= 200 passing its cube test
     """
     return _TABLES[tid]()
 

@@ -68,7 +68,7 @@ def test_criterion_2_unresolved_confinement(full_scan):
 
 
 def test_criterion_3_table3_golden():
-    rows = bound_tables()["3"]["rows"]
+    rows = bound_tables()["3"]
     expected = {
         2: (40, 1296),
         3: (8505, 3072),
@@ -76,12 +76,12 @@ def test_criterion_3_table3_golden():
         5: (5687500, 10368),
         8: (1982955520, 104976),
     }
-    assert {q: (r["v"], r["k_divides"]) for q, r in rows.items()} == expected
+    assert rows == expected
     report("criterion 3", "line-4 (v, k-bound) table exact for q in {2,3,4,5,8}")
 
 
 def test_criterion_4_table9_golden():
-    lines = bound_tables()["9"]["lines"]
+    lines = bound_tables()["9"]
     assert lines[11] == [7]
     assert lines[12] == [3]
     assert lines[15] == [3]

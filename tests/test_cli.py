@@ -73,6 +73,23 @@ def test_sieve_bad_range(capsys):
     assert code == 2
 
 
+def test_sieve_pmax_ceiling(monkeypatch, capsys):
+    """A --pmax above the ceiling is a usage error, refused before the prime
+    sieve allocates anything; the ceiling itself reaches the scan."""
+    def refuse(n):
+        raise AssertionError(f"primes_up_to({n}) called")
+
+    monkeypatch.setattr(sieve, "primes_up_to", refuse)
+    for pmax in (cli._PMAX_CEILING + 1, 10**10):
+        code, out = run(capsys, "sieve", "--pmax", str(pmax), "--amax", "1")
+        assert (code, out) == (2, "error: --pmax above 100000 is not supported\n")
+    code, out = run(capsys, "sieve", "--pmax", "1", "--amax", "1")
+    assert (code, out) == (2, "error: need --pmax >= 2 and --amax >= 1\n")
+    monkeypatch.setattr(sieve, "scan_all", lambda p, a, lines: sieve.ScanReport(p, a, []))
+    code, out = run(capsys, "sieve", "--pmax", str(cli._PMAX_CEILING), "--amax", "1")
+    assert code == 0 and out.startswith("sieve line=all pmax=100000 amax=1\n")
+
+
 def test_tables_all_match(capsys):
     for table in ("3", "4", "6", "7", "8", "9"):
         code, out = run(capsys, "tables", "--table", table)
@@ -152,9 +169,9 @@ def test_tables_8_cap1_count_compared(monkeypatch, capsys):
     """Dropping a cap-1 prime between the first two and the last one makes
     the a<=1 row of table 8 a mismatch."""
     table = sieve.bound_table("8")
-    ones = sorted(p for p, a in table["caps"].items() if a == 1)
-    caps = {p: a for p, a in table["caps"].items() if p != ones[5]}
-    monkeypatch.setattr(sieve, "bound_table", lambda tid: {"caps": caps})
+    ones = sorted(p for p, a in table.items() if a == 1)
+    caps = {p: a for p, a in table.items() if p != ones[5]}
+    monkeypatch.setattr(sieve, "bound_table", lambda tid: caps)
     code, out = run(capsys, "tables", "--table", "8")
     lines = out.splitlines()
     assert code == 1

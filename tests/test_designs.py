@@ -127,9 +127,14 @@ def test_verify_detects_pair_violation():
     # right sizes and replication but wrong pair structure: a 1-factorisation
     # style structure on 4 points
     d = IncidenceStructure(4, ((0, 1), (2, 3), (0, 2), (1, 3)))
-    result = verify_symmetric(d)
-    assert isinstance(result, VerificationFailure)
-    assert result.axiom in ("point_pair", "nontriviality")
+    # points 0 and 3 share no block, points 0 and 1 share one
+    assert verify_symmetric(d) == VerificationFailure("point_pair", (0, 3, 0, 1))
+
+
+def test_verify_detects_replication_violation():
+    # four blocks of size 2 on 4 points, but point 0 lies on 3 blocks, not 2
+    d = IncidenceStructure(4, ((0, 1), (0, 2), (0, 3), (1, 2)))
+    assert verify_symmetric(d) == VerificationFailure("replication", (0, 3, 2))
 
 
 def test_format_roundtrip(built):

@@ -18,7 +18,7 @@ PUBLIC = {
     "catalog": ["CLOSED_FORM_V", "CatalogError", "LINES", "SubgroupCase", "case_for", "cases_for",
                 "out_order", "socle_order"],
     "sieve": ["CaseOutcome", "ELIMINATED", "KNOWN_DESIGN_PARAMS", "SURVIVOR", "ScanReport",
-              "UNRESOLVED", "bound_table", "bound_tables", "cube_prefilter", "feasible_candidates",
+              "UNRESOLVED", "bound_table", "bound_tables", "feasible_candidates",
               "scan_all", "scan_case"],
     "geometry": ["ISOTROPIC", "NONSQUARE_TYPE", "ProjectivePoint", "SQUARE_TYPE", "class_points",
                  "classify_point", "design_space", "pg_hyperplanes", "projective_points",
@@ -138,3 +138,46 @@ def test_runtime_imports_are_stdlib_only():
                 assert top in sys.stdlib_module_names or top == "psu4designs", (path.name, name)
                 checked += 1
     assert checked > 30
+
+
+# The SubgroupCase members bench/child.py calls on each case of a scan.
+BENCH_CASE_MEMBERS = ("point_count", "k_divisor_bound", "subdegree_divisors", "parabolic")
+
+
+def _bench_names() -> set[tuple[str, str]]:
+    """(module, name) for every package name the benchmark scripts read: each
+    ``from psu4designs.X import Y``, and each attribute of a package module
+    bound by ``from psu4designs import X``."""
+    names = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("psu4designs"):
+                for alias in node.names:
+                    names.add((node.module, alias.name))
+                    if node.module == "psu4designs":
+                        modules[alias.asname or alias.name] = f"psu4designs.{alias.name}"
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                names.add((modules[node.value.id], node.attr))
+    return names
+
+
+def test_benchmark_names_resolve():
+    """Every package name the benchmark reads exists, so deleting one fails
+    here and not only when the benchmark runs."""
+    names = _bench_names()
+    assert ("psu4designs.sieve", "scan_range") in names
+    missing = []
+    for module, name in sorted(names):
+        try:
+            getattr(importlib.import_module(module), name)
+        except AttributeError:
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append((module, name))
+    missing += [name for name in BENCH_CASE_MEMBERS if not hasattr(catalog.SubgroupCase, name)]
+    assert missing == []

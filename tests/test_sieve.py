@@ -8,7 +8,7 @@ from helpers import (
 )
 
 from psu4designs import catalog, sieve
-from psu4designs.catalog import case_for, cases_for
+from psu4designs.catalog import case_for, cases_for, out_order, socle_order
 from psu4designs.exactmath import (
     _TRIAL_LIMIT, DesignParams, PrimePower, prime_powers_up_to, primes_up_to,
 )
@@ -23,7 +23,6 @@ from psu4designs.sieve import (
     CaseOutcome,
     bound_table,
     bound_tables,
-    cube_prefilter,
     feasible_candidates,
     scan_all,
     scan_case,
@@ -96,13 +95,11 @@ def test_design_params_validation():
 
 
 def test_cube_prefilter():
-    assert cube_prefilter(11, PrimePower.of(7, 1))
-    assert cube_prefilter(12, Q3)
-    assert cube_prefilter(15, Q3)
-    assert not cube_prefilter(16, PrimePower.of(17, 1))
-    assert cube_prefilter(16, Q5)
-    with pytest.raises(ValueError):
-        cube_prefilter(10, Q3)
+    assert scan_case(11, PrimePower.of(7, 1)).reason != CUBE_PREFILTER
+    assert scan_case(12, Q3).reason != CUBE_PREFILTER
+    assert scan_case(15, Q3).reason != CUBE_PREFILTER
+    assert scan_case(16, PrimePower.of(17, 1)).reason == CUBE_PREFILTER
+    assert scan_case(16, Q5).reason != CUBE_PREFILTER
 
 
 def test_scan_case_line6_q4_unresolved():
@@ -206,17 +203,17 @@ def test_bound_table_is_its_entry_of_bound_tables():
 
 def test_bound_tables_shapes():
     tables = bound_tables()
-    tables["4"]["caps"][2] = 0
+    tables["4"][2] = 0
     tables = bound_tables()
-    assert tables["3"]["rows"][4] == {"v": 339456, "k_divides": 12000}
-    assert tables["4"]["caps"][2] == 10
-    assert tables["6"]["caps"][2] == 9
-    assert sorted(tables["7"]["rows"]) == [4, 8, 16, 32, 64, 128, 256, 512]
-    assert tables["7"]["rows"][32]["m_bound"] == 25
-    caps8 = tables["8"]["caps"]
+    assert tables["3"][4] == (339456, 12000)
+    assert tables["4"][2] == 10
+    assert tables["6"][2] == 9
+    assert sorted(tables["7"]) == [4, 8, 16, 32, 64, 128, 256, 512]
+    assert tables["7"][32] == (33555456, 25)
+    caps8 = tables["8"]
     assert caps8[3] == 12 and caps8[5] == 6 and caps8[13] == 4
     assert 19 not in caps8
-    assert tables["9"]["lines"] == {
+    assert tables["9"] == {
         11: [7], 12: [3], 13: [], 14: [3, 5], 15: [3], 16: [5, 11],
     }
 
@@ -333,12 +330,12 @@ def test_k_search_matches_reference_random():
 
 def test_cube_prefilter_is_the_scan_reason():
     """On lines 11-16 a case is eliminated by the cube prefilter exactly when
-    the public ``cube_prefilter`` rejects it."""
+    the order test |X| <= |Out(X)|^2 * |H0|^3 fails."""
     seen = set()
     for p in primes_up_to(1000):
         q = PrimePower.of(p, 1)
         for line in {c.line for c in cases_for(q)} & set(range(11, 17)):
-            passes = cube_prefilter(line, q)
+            passes = socle_order(q) <= out_order(q) ** 2 * case_for(line, q).h0_order(q) ** 3
             assert (scan_case(line, q).reason == CUBE_PREFILTER) == (not passes), (line, p)
             seen.add(passes)
     assert seen == {True, False}
@@ -395,7 +392,7 @@ def test_scan_matches_reference_scan_instance(p_max, a_max):
 
 def test_table9_enumerates_each_prime_once(monkeypatch):
     """Table 9 reads the cases of each prime q <= 200 from one enumeration,
-    not once more per fixed-group line through ``cube_prefilter``."""
+    not once more per fixed-group line."""
     cases, calls = catalog.cases_for, []
     monkeypatch.setattr(catalog, "cases_for", lambda q: calls.append(q.q) or cases(q))
     bound_table("9")
