@@ -18,6 +18,7 @@ be suppressed with --no-timestamp for byte-level comparisons.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -362,7 +363,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="induced reflection-group checks")
     p.add_argument("--design", required=True, choices=sorted(designs.KIND_POINT_CLASS))
     p.add_argument("--complement", action="store_true",
-                   help="run the check against the complement design")
+                   help="check the complement design; only flagtrans reads the "
+                        "design, so order, primitive and rank ignore this flag")
     p.add_argument("--check", required=True,
                    choices=["flagtrans", "primitive", "order", "rank"])
     p.set_defaults(func=cmd_group)
@@ -383,7 +385,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early, as by ``| head``: keep the flush at exit silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

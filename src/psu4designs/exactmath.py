@@ -73,13 +73,12 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Floyd's cycle detection).
+    """A factor 1 < d < n of odd composite n (Floyd's cycle detection).
 
     The addend c is stepped deterministically so repeated runs factor the
-    same input the same way.
+    same input the same way.  ``factorize`` calls it only on cofactors
+    >= 10^8 with no prime factor below 10^4, so n is never even.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -141,9 +140,7 @@ def factorize(n: int) -> Factorization:
             n //= p
     stack = [n] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m = stack.pop()  # never 1: n > 1 here, and rho splits m into 1 < d < m
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
@@ -169,8 +166,10 @@ class _DesignParams(NamedTuple):
 class DesignParams(_DesignParams):
     """A symmetric (v, k, lambda) parameter triple.
 
-    Construction re-checks the arithmetic identities, so any triple that
-    escapes the sieve is sound independently of the search path.
+    Construction checks nontriviality 2 < k < v-1 and the counting identity
+    k(k-1) = lambda(v-1), so any triple that escapes the sieve is sound
+    independently of the search path.  These imply lambda*v < k^2 (it reduces
+    to lambda < k, so k < v) and 4*lambda*(v-1) + 1 = (2k-1)^2, a square.
     """
 
     __slots__ = ()
@@ -180,10 +179,6 @@ class DesignParams(_DesignParams):
             raise ValueError(f"nontriviality 2 < k < v-1 fails for {(v, k, lam)}")
         if k * (k - 1) != lam * (v - 1):
             raise ValueError(f"k(k-1) = lambda(v-1) fails for {(v, k, lam)}")
-        if lam * v >= k * k:
-            raise ValueError(f"lambda*v < k^2 fails for {(v, k, lam)}")
-        if not is_perfect_square(4 * lam * (v - 1) + 1):
-            raise ValueError(f"4*lambda*(v-1)+1 is not a square for {(v, k, lam)}")
         return super().__new__(cls, v, k, lam)
 
     def triple(self) -> tuple[int, int, int]:

@@ -15,7 +15,8 @@ symmetric-design constraints:
 Only (i), (v) and (vi) are tested: the residue walk yields only k with
 2 < k < v-1, and for those (ii)-(iv) are identities.  (ii) and (iii) both
 reduce to k < v, and 4*lambda*(v-1) + 1 = 4k(k-1) + 1 = (2k-1)^2.
-``DesignParams`` still checks all of them on every candidate.
+On every candidate ``DesignParams`` checks nontriviality and the counting
+identity k(k-1) = lambda(v-1), which imply (ii)-(iv) in the same way.
 
 No lower bound beyond lambda >= 1 is imposed, so the scan is deliberately
 conservative: surviving parameter triples are classified against the known

@@ -60,6 +60,14 @@ the set of normal forms.  Both it and ``reference_induce`` take normal
 forms with ``normalize``, which scales a vector so that its first nonzero
 coordinate is 1.
 
+``reference_verify_symmetric`` is ``designs.verify_symmetric`` as it
+checked every block pair after every point pair, with the per-block masks
+``IncidenceStructure.block_masks`` built, before the block-pair pass was
+dropped as implied by the checks before it.  ``ReferenceDesignParams`` is
+``DesignParams`` as it checked lambda*v < k^2 and the square condition on
+4*lambda*(v-1)+1 after nontriviality and the counting identity, before
+those two were dropped as implied by them.
+
 ``reference_su_level_order``, ``reference_applies``,
 ``reference_subdegree_divisors``, ``reference_subfield_decompositions`` and
 ``reference_cases_for`` are the catalog as it read each line from a 16-way
@@ -82,11 +90,14 @@ from psu4designs.designs import (
     KIND_POINT_CLASS,
     KINDS,
     IncidenceStructure,
+    VerificationFailure,
     _IsoSearch,
     flags,
     is_isomorphism,
 )
-from psu4designs.exactmath import DesignParams, PrimePower, factorize
+from psu4designs.exactmath import (
+    DesignParams, PrimePower, _DesignParams, factorize, is_perfect_square,
+)
 from psu4designs.permgroup import (
     NotTransitiveError,
     Permutation,
@@ -722,3 +733,64 @@ def reference_cases_for(q: PrimePower) -> list[tuple]:
         elif reference_applies(line, q):
             out.append(_make_case(line))
     return out
+
+
+def _reference_block_masks(design: IncidenceStructure) -> list[int]:
+    """Per block, the bitmask of its points."""
+    out = []
+    for block in design.blocks:
+        m = 0
+        for i in block:
+            m |= 1 << i
+        out.append(m)
+    return out
+
+
+def reference_verify_symmetric(design: IncidenceStructure):
+    """Check the symmetric-design axioms; return the parameters or the first
+    violated axiom with a witness pair."""
+    v = design.v
+    if len(design.blocks) != v:
+        return VerificationFailure("block_count", (v, len(design.blocks)))
+    if v < 4:
+        return VerificationFailure("nontriviality", (v,))
+    k = len(design.blocks[0])
+    for b, block in enumerate(design.blocks):
+        if len(block) != k:
+            return VerificationFailure("block_size", (b, len(block), k))
+    pmasks = design.point_masks()
+    for i, m in enumerate(pmasks):
+        if m.bit_count() != k:
+            return VerificationFailure("replication", (i, m.bit_count(), k))
+    lam = (pmasks[0] & pmasks[1]).bit_count()
+    for x in range(v):
+        for y in range(x + 1, v):
+            common = (pmasks[x] & pmasks[y]).bit_count()
+            if common != lam:
+                return VerificationFailure("point_pair", (x, y, common, lam))
+    bmasks = _reference_block_masks(design)
+    for i in range(v):
+        for j in range(i + 1, v):
+            common = (bmasks[i] & bmasks[j]).bit_count()
+            if common != lam:
+                return VerificationFailure("block_pair", (i, j, common, lam))
+    if not 2 < k < v - 1:
+        return VerificationFailure("nontriviality", (v, k))
+    return DesignParams(v, k, lam)
+
+
+class ReferenceDesignParams(_DesignParams):
+    """A symmetric (v, k, lambda) parameter triple, checked four ways."""
+
+    __slots__ = ()
+
+    def __new__(cls, v: int, k: int, lam: int) -> "ReferenceDesignParams":
+        if not 2 < k < v - 1:
+            raise ValueError(f"nontriviality 2 < k < v-1 fails for {(v, k, lam)}")
+        if k * (k - 1) != lam * (v - 1):
+            raise ValueError(f"k(k-1) = lambda(v-1) fails for {(v, k, lam)}")
+        if lam * v >= k * k:
+            raise ValueError(f"lambda*v < k^2 fails for {(v, k, lam)}")
+        if not is_perfect_square(4 * lam * (v - 1) + 1):
+            raise ValueError(f"4*lambda*(v-1)+1 is not a square for {(v, k, lam)}")
+        return super().__new__(cls, v, k, lam)

@@ -207,6 +207,58 @@ def test_construct_io_failure(capsys):
     assert code == 3
 
 
+def test_sieve_json_io_failure(capsys):
+    """The report is printed before the JSON file fails to open."""
+    argv = ["sieve", "--line", "8", "--pmax", "2", "--amax", "1"]
+    _, report = run(capsys, *argv)
+    code, out = run(capsys, *argv, "--json", "/nonexistent-dir/r.json")
+    assert code == 3
+    assert out.startswith(report)
+    error = out[len(report):]
+    assert error.startswith("error: cannot write /nonexistent-dir/r.json: ")
+    assert error.count("\n") == 1
+
+
+def test_verify_missing_file_exit_3(tmp_path, capsys):
+    path = tmp_path / "missing.des"
+    code, out = run(capsys, "verify", str(path))
+    assert code == 3
+    assert out.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("missing", [0, 1])
+def test_iso_missing_file_exit_3(tmp_path, capsys, missing):
+    present = tmp_path / "pg33.des"
+    write_design(build("pg33"), str(present))
+    paths = [str(present), str(present)]
+    paths[missing] = str(tmp_path / "missing.des")
+    code, out = run(capsys, "iso", *paths)
+    assert code == 3
+    assert out.startswith(f"error: cannot read {paths[missing]}: ")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["tables", "--table", "3"],
+    ["sieve", "--pmax", "13", "--amax", "3"],
+], ids=["tables", "sieve"])
+def test_closed_stdout_exits_io(argv, unbuffered):
+    """A reader that closes stdout early, as ``| head -1`` does, gets exit 3
+    and nothing on stderr, whether the write or the flush at exit fails."""
+    env = dict(os.environ, PYTHONPATH=str(Path(psu4designs.__file__).parents[1]))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "psu4designs.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (3, b"")
+
+
 def test_verify_violation_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.des"
     # parseable file that is not a symmetric design

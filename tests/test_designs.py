@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from helpers import (
     reference_build,
     reference_find_isomorphism,
     reference_pair_profiles,
+    reference_verify_symmetric,
 )
 from psu4designs.designs import (
     KINDS,
@@ -135,6 +137,42 @@ def test_verify_detects_replication_violation():
     # four blocks of size 2 on 4 points, but point 0 lies on 3 blocks, not 2
     d = IncidenceStructure(4, ((0, 1), (0, 2), (0, 3), (1, 2)))
     assert verify_symmetric(d) == VerificationFailure("replication", (0, 3, 2))
+
+
+def _one_size_structures(v, sizes):
+    """Every structure of v points and v blocks, all of one size in sizes."""
+    for k in sizes:
+        for blocks in product(combinations(range(v), k), repeat=v):
+            yield IncidenceStructure(v, blocks)
+
+
+def test_verify_matches_reference_on_small_structures():
+    """Dropping the block-pair pass changes no result on every 4-point
+    structure with blocks of one size, and every 5-point one with block size
+    0, 1, 4 or 5: the proof's cases k = 0, k = 1 and k = lambda = v."""
+    structures = [*_one_size_structures(4, range(5)), *_one_size_structures(5, (0, 1, 4, 5))]
+    assert len(structures) == 1810 + 6252
+    axioms = Counter()
+    for d in structures:
+        result = reference_verify_symmetric(d)
+        assert verify_symmetric(d) == result, d
+        axioms[getattr(result, "axiom", None)] += 1
+    assert "block_pair" not in axioms
+    assert {"point_pair", "replication", "nontriviality"} <= axioms.keys()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_matches_reference_on_designs(built, seed):
+    """The 8 built designs and complements, as built and relabelled."""
+    rng = random.Random(seed)
+    for kind in KINDS:
+        for d in (built[kind], complement(built[kind])):
+            perm = list(range(d.v))
+            rng.shuffle(perm)
+            for e in (d, relabel(d, perm)):
+                result = verify_symmetric(e)
+                assert isinstance(result, DesignParams)
+                assert result == reference_verify_symmetric(e), kind
 
 
 def test_format_roundtrip(built):

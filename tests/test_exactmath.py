@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ReferenceDesignParams
 from psu4designs.exactmath import (
+    DesignParams,
     Factorization,
     PrimePower,
     factorize,
@@ -110,3 +112,25 @@ def test_factorization_validation():
         Factorization(((3, 1), (2, 1)))
     with pytest.raises(ValueError):
         Factorization(((2, 0),))
+
+
+def _params_outcome(make, v, k, lam):
+    try:
+        return tuple(make(v, k, lam))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_design_params_match_reference():
+    """Nontriviality and the counting identity imply lambda*v < k^2 and the
+    square condition: the same triple or the same error as the four-check
+    reference, for every v <= 200, 0 <= k <= v and lambda near k(k-1)/(v-1)."""
+    accepted = 0
+    for v in range(2, 201):
+        for k in range(v + 1):
+            lam0 = k * (k - 1) // (v - 1)
+            for lam in (lam0 - 1, lam0, lam0 + 1):
+                got = _params_outcome(DesignParams, v, k, lam)
+                assert got == _params_outcome(ReferenceDesignParams, v, k, lam)
+                accepted += isinstance(got, tuple)
+    assert accepted > 0
