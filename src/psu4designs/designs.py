@@ -98,7 +98,7 @@ def build(kind: str) -> IncidenceStructure:
     if kind not in KIND_POINT_CLASS:
         raise ValueError(f"unknown design kind {kind!r}; expected one of {KINDS}")
     space = geometry.design_space()
-    points = [pt.coords for pt in geometry.class_points(KIND_POINT_CLASS[kind])]
+    points = geometry.class_points(KIND_POINT_CLASS[kind])
     # B(x, y) is the dot product of y with x's Gram row x^T G
     grams = [space.gram_row(x) for x in points]
     blocks = tuple(
@@ -114,13 +114,13 @@ def verify_symmetric(
     """Check the symmetric-design axioms; return the parameters or the first
     violated axiom with a witness.
 
-    In order: v blocks, v >= 4, block sizes k, replication numbers k, every
-    point pair on lambda blocks, 2 < k < v-1.  Block pairs are not checked:
-    these make any two blocks meet in lambda points (Ryser).  With N the
-    incidence matrix, NJ = JN = kJ, NN^T = (k-lambda)I + lambda*J and
-    lambda <= k.  For k > lambda, N is invertible and N^T N = N^-1 (NN^T) N
-    = (k-lambda)I + lambda*J; k = lambda > 0 makes every block the point
-    set, and k = 0 every block empty.
+    In order: v blocks, v >= 4, block sizes k, replication numbers k,
+    k not <= 1 nor >= v-1, every point pair on lambda blocks.  Then
+    lambda(v-1) = k(k-1), which for v >= 4 rules out k = 2, so 2 < k < v-1.
+    Block pairs are not checked: these make any two blocks meet in lambda
+    points (Ryser).  With N the incidence matrix, NJ = JN = kJ and NN^T =
+    (k-lambda)I + lambda*J with lambda < k, so N is invertible and N^T N =
+    N^-1 (NN^T) N = (k-lambda)I + lambda*J.
     """
     v = design.v
     if len(design.blocks) != v:
@@ -135,14 +135,16 @@ def verify_symmetric(
     for i, m in enumerate(pmasks):
         if m.bit_count() != k:
             return VerificationFailure("replication", (i, m.bit_count(), k))
+    # The pair pass would pass: every pair lies on 0 blocks for k <= 1 (empty
+    # blocks or the v singletons), on v-2 for k = v-1 and on v for k = v.
+    if k <= 1 or k >= v - 1:
+        return VerificationFailure("nontriviality", (v, k))
     lam = (pmasks[0] & pmasks[1]).bit_count()
     for x in range(v):
         for y in range(x + 1, v):
             common = (pmasks[x] & pmasks[y]).bit_count()
             if common != lam:
                 return VerificationFailure("point_pair", (x, y, common, lam))
-    if not 2 < k < v - 1:
-        return VerificationFailure("nontriviality", (v, k))
     return DesignParams(v, k, lam)
 
 

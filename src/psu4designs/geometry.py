@@ -8,7 +8,7 @@ projective points as 40 isotropic, 36 of square type and 45 of nonsquare
 type, and the identity form realises the 36/45 split the other way
 around.  (Scaling the form does not change the orthogonal group in odd
 dimension, so the induced groups are unaffected.)  ``projective_points``
-and ``pg_hyperplanes`` take any prime p.
+and ``pg_hyperplanes`` take any prime p.  Points are normal-form tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import NamedTuple
 from .exactmath import is_prime
 
 __all__ = [
-    "ProjectivePoint",
     "design_space",
     "projective_points",
     "classify_point",
@@ -37,18 +36,9 @@ SQUARE_TYPE = "square_type"
 NONSQUARE_TYPE = "nonsquare_type"
 
 
-class ProjectivePoint(NamedTuple):
-    """A 1-dimensional subspace, stored by its normal-form representative."""
-
-    coords: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return "(" + ":".join(map(str, self.coords)) + ")"
-
-
-def projective_points(dim: int, p: int) -> list[ProjectivePoint]:
-    """All (p^dim - 1)/(p - 1) points of PG(dim-1, p), in lexicographic
-    normal-form order."""
+def projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
+    """All (p^dim - 1)/(p - 1) points of PG(dim-1, p) as normal-form
+    coordinate tuples, in lexicographic order."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if not is_prime(p):
@@ -56,7 +46,7 @@ def projective_points(dim: int, p: int) -> list[ProjectivePoint]:
     # product yields the vectors in lexicographic order; the normal forms
     # are those whose first nonzero coordinate is 1
     return [
-        ProjectivePoint(vec)
+        vec
         for vec in itertools.product(range(p), repeat=dim)
         if next(filter(None, vec), 0) == 1
     ]
@@ -68,11 +58,10 @@ class _OrthogonalSpace(NamedTuple):
     p: int
     gram: tuple[tuple[int, ...], ...]
 
-    def _vector(self, x) -> tuple[int, ...]:
-        xc = x.coords if isinstance(x, ProjectivePoint) else x
-        if len(xc) != len(self.gram):
-            raise ValueError(f"need a vector of length {len(self.gram)}, got {len(xc)}")
-        return xc
+    def _vector(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        if len(x) != len(self.gram):
+            raise ValueError(f"need a vector of length {len(self.gram)}, got {len(x)}")
+        return x
 
     def gram_row(self, x) -> tuple[int, ...]:
         """x^T G: as G is symmetric, entry i is row i of G dotted with x."""
@@ -101,7 +90,7 @@ def design_space() -> _OrthogonalSpace:
     return _DESIGN_SPACE
 
 
-def classify_point(space: _OrthogonalSpace, x: ProjectivePoint) -> str:
+def classify_point(space: _OrthogonalSpace, x: tuple[int, ...]) -> str:
     """isotropic / square_type / nonsquare_type of the form value.
 
     Well defined on the projective point: rescaling multiplies the form
@@ -116,7 +105,7 @@ def classify_point(space: _OrthogonalSpace, x: ProjectivePoint) -> str:
     return NONSQUARE_TYPE
 
 
-def class_points(point_class: str) -> list[ProjectivePoint]:
+def class_points(point_class: str) -> list[tuple[int, ...]]:
     """The points of one class in the design space, in projective_points(5, 3)
     order.  Designs and reflection actions both index points by this list,
     so their point numberings agree."""
@@ -126,11 +115,11 @@ def class_points(point_class: str) -> list[ProjectivePoint]:
     ]
 
 
-def reflection(space: _OrthogonalSpace, v) -> tuple[tuple[int, ...], ...]:
+def reflection(space: _OrthogonalSpace, v: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The reflection r_v(x) = x - (2 B(x,v)/Q(v)) v as a matrix, for
-    anisotropic v.  An involutory isometry of the form."""
+    anisotropic v, its entries read mod p.  An involutory isometry of the form."""
     p = space.p
-    vc = v.coords if isinstance(v, ProjectivePoint) else tuple(c % p for c in v)
+    vc = tuple(c % p for c in v)
     gv = space.gram_row(vc)
     qv = sum(map(mul, gv, vc)) % p
     if qv == 0:
@@ -152,13 +141,8 @@ def pg_hyperplanes(dim: int, p: int) -> list[list[int]]:
     if dim < 2:
         raise ValueError("dim must be >= 2")
     points = projective_points(dim, p)
-    blocks = []
-    for h in points:  # dual points enumerate the hyperplanes
-        hc = h.coords
-        block = [
-            i
-            for i, pt in enumerate(points)
-            if sum(a * b for a, b in zip(hc, pt.coords)) % p == 0
-        ]
-        blocks.append(block)
-    return blocks
+    # dual points enumerate the hyperplanes
+    return [
+        [i for i, x in enumerate(points) if sum(map(mul, h, x)) % p == 0]
+        for h in points
+    ]

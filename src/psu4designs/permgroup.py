@@ -91,7 +91,7 @@ class PermutationAction(_PermutationAction):
 
 def induce(
     matrices: Iterable[tuple[tuple[int, ...], ...]],
-    points: list[geometry.ProjectivePoint],
+    points: list[tuple[int, ...]],
     p: int,
 ) -> PermutationAction:
     """The permutations of the point list induced by matrices acting
@@ -102,22 +102,21 @@ def induce(
     # Every nonzero multiple of a listed normal form names its point, so an
     # image is looked up without normalising it.  Other coordinate tuples
     # are no normal form, so no normalised image ever matched them.
-    coords = [pt.coords for pt in points]
     index = {}
-    for i, c in enumerate(coords):
+    for i, c in enumerate(points):
         if any(c) and all(0 <= x < p for x in c) and next(filter(None, c)) == 1:
             for s in range(1, p):
                 index[tuple(x * s % p for x in c)] = i
     gens = []
     for m in matrices:
         images = []
-        for pt, c in zip(points, coords):
+        for c in points:
             w = tuple(sum(map(mul, row, c)) % p for row in m)
             j = index.get(w)
             if j is None:
                 if not any(w):
                     raise ValueError("zero vector has no projective normal form")
-                raise ValueError(f"matrix maps {pt} outside the point set")
+                raise ValueError(f"matrix maps ({':'.join(map(str, c))}) outside the point set")
             images.append(j)
         gens.append(tuple(images))
     return PermutationAction(len(points), tuple(gens))
@@ -196,6 +195,15 @@ def _schreier_generators(
     return sorted(out)
 
 
+def _stabilizer(
+    gens: Sequence[Permutation], point: int, n: int
+) -> tuple[dict[int, Permutation], list[Permutation]]:
+    """The transversal of the point's orbit and the Schreier generators of
+    its stabilizer."""
+    trans = _orbit_transversal(gens, point, n)
+    return trans, _schreier_generators(gens, trans)
+
+
 class StabilizerChain(NamedTuple):
     """Base points with their transversals, and the group order."""
 
@@ -216,11 +224,10 @@ def stabilizer_chain(action: PermutationAction) -> StabilizerChain:
         # the least point of the first largest orbit; nontrivial generators
         # always move some point, so this orbit has at least two points
         beta = min(max(_orbits(gens, n), key=len))
-        trans = _orbit_transversal(gens, beta, n)
+        trans, gens = _stabilizer(gens, beta, n)
         base.append(beta)
         transversals.append(trans)
         order *= len(trans)
-        gens = _schreier_generators(gens, trans)
     return StabilizerChain(tuple(base), tuple(transversals), order)
 
 
@@ -282,15 +289,6 @@ def is_flag_transitive(
     return bool(flags) and len(_closure(flag_gens, 0)) == len(flags)
 
 
-def _stabilizer(
-    gens: Sequence[Permutation], point: int, n: int
-) -> tuple[dict[int, Permutation], list[Permutation]]:
-    """The transversal of the point's orbit and the Schreier generators of
-    its stabilizer."""
-    trans = _orbit_transversal(gens, point, n)
-    return trans, _schreier_generators(gens, trans)
-
-
 def is_primitive(action: PermutationAction) -> bool:
     """True iff the (transitive) action preserves no nontrivial partition,
     that is, iff for one beta per nontrivial suborbit of G_0 the orbit of 0
@@ -318,9 +316,10 @@ def stabilizer_orbit_sizes(action: PermutationAction, point: int) -> list[int]:
     n = action.degree
     if not 0 <= point < n:
         raise ValueError("point out of range")
-    if len(orbit(action, 0)) != n:
+    trans, stab = _stabilizer(action.generators, point, n)
+    if len(trans) != n:
         raise NotTransitiveError("action is not transitive")
-    return sorted(map(len, _orbits(_stabilizer(action.generators, point, n)[1], n)))
+    return sorted(map(len, _orbits(stab, n)))
 
 
 # The lexicographically first generating 5-subset of the 81 mirrors; greedy

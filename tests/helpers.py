@@ -441,19 +441,19 @@ def normalize(vec: tuple[int, ...], p: int) -> tuple[int, ...]:
 def reference_induce(matrices, points, p):
     if not points:
         raise ValueError("empty point list")
-    index = {pt.coords: i for i, pt in enumerate(points)}
-    dim = len(points[0].coords)
+    index = {pt: i for i, pt in enumerate(points)}
+    dim = len(points[0])
     gens = []
     for m in matrices:
         images = []
         for pt in points:
             w = tuple(
-                sum(m[i][j] * pt.coords[j] for j in range(dim)) % p for i in range(dim)
+                sum(m[i][j] * pt[j] for j in range(dim)) % p for i in range(dim)
             )
             nf = normalize(w, p)
             j = index.get(nf)
             if j is None:
-                raise ValueError(f"matrix maps {pt} outside the point set")
+                raise ValueError(f"matrix maps ({':'.join(map(str, pt))}) outside the point set")
             images.append(j)
         gens.append(tuple(images))
     return PermutationAction(len(points), tuple(gens))
@@ -612,7 +612,7 @@ def reference_projective_points(dim, p):
     for vec in product(range(p), repeat=dim):
         if any(vec):
             seen.add(normalize(vec, p))
-    return [geometry.ProjectivePoint(c) for c in sorted(seen)]
+    return sorted(seen)
 
 
 # catalog as it stood before each line became one row of ``_ROWS``

@@ -161,6 +161,52 @@ def test_verify_matches_reference_on_small_structures():
     assert {"point_pair", "replication", "nontriviality"} <= axioms.keys()
 
 
+class _AndCounter(int):
+    """An int whose & is counted in the class attribute ands."""
+
+    ands = 0
+
+    def __and__(self, other):
+        _AndCounter.ands += 1
+        return int(self) & other
+
+
+@pytest.mark.parametrize("k", [0, 1, 49, 50])
+def test_verify_trivial_k_skips_pair_pass(monkeypatch, k):
+    """For k <= 1 or k >= v-1 the verdict comes without one mask &."""
+    v = 50
+    full = tuple(range(v))
+    d = IncidenceStructure(v, tuple(
+        {0: (), 1: (i,), v - 1: full[:i] + full[i + 1:], v: full}[k] for i in range(v)))
+    want = reference_verify_symmetric(d)
+    plain = IncidenceStructure.point_masks
+    monkeypatch.setattr(IncidenceStructure, "point_masks",
+                        lambda self: list(map(_AndCounter, plain(self))))
+    _AndCounter.ands = 0
+    assert verify_symmetric(d) == want == VerificationFailure("nontriviality", (v, k))
+    assert _AndCounter.ands == 0
+
+
+def test_verify_matches_reference_on_cyclic_structures():
+    """Block i is {base[(i + s) mod v] : s in S}.  A permutation base gives
+    replication k, so the pair pass decides, and a difference set S gives a
+    design; a base with repeats gives smaller blocks or uneven replication."""
+    rng = random.Random(2020)
+    axioms = Counter()
+    for _ in range(20_000):
+        v = rng.randint(4, 12)
+        k = rng.choice([0, 1, 2, v - 2, v - 1, v, rng.randint(0, v)])
+        shift = rng.sample(range(v), k)
+        base = rng.sample(range(v), v) if rng.random() < 0.5 else rng.choices(range(v), k=v)
+        d = IncidenceStructure(v, tuple(
+            tuple(sorted({base[(i + s) % v] for s in shift})) for i in range(v)))
+        result = verify_symmetric(d)
+        assert result == reference_verify_symmetric(d), d
+        axioms[getattr(result, "axiom", "design")] += 1
+    assert axioms["design"] >= 10
+    assert {"block_size", "replication", "point_pair", "nontriviality"} <= axioms.keys()
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_verify_matches_reference_on_designs(built, seed):
     """The 8 built designs and complements, as built and relabelled."""

@@ -101,8 +101,8 @@ _DROP_FIRST = tuple(tuple(1 if i == j > 0 else 0 for j in range(5)) for i in ran
     ([_DROP_FIRST], projective_points(5, 3), "zero vector has no projective normal form"),
     ([_IDENT], [], "empty point list"),
     # not normal forms: 2x and an unreduced entry never match an image
-    ([_IDENT], [geometry.ProjectivePoint((2, 0, 0, 0, 0))], "outside the point set"),
-    ([_IDENT], [geometry.ProjectivePoint((1, 3, 0, 0, 0))], "outside the point set"),
+    ([_IDENT], [(2, 0, 0, 0, 0)], "outside the point set"),
+    ([_IDENT], [(1, 3, 0, 0, 0)], "outside the point set"),
     ([_IDENT], projective_points(5, 3) + projective_points(5, 3)[:1], "not a permutation"),
 ], ids=["wrong-set", "zero-image", "empty", "scaled", "unreduced", "repeated"])
 def test_induce_errors_match_reference(matrices, points, message):

@@ -20,9 +20,8 @@ PUBLIC = {
     "sieve": ["CaseOutcome", "ELIMINATED", "KNOWN_DESIGN_PARAMS", "SURVIVOR", "ScanReport",
               "UNRESOLVED", "bound_table", "bound_tables", "feasible_candidates",
               "scan_all", "scan_case"],
-    "geometry": ["ISOTROPIC", "NONSQUARE_TYPE", "ProjectivePoint", "SQUARE_TYPE", "class_points",
-                 "classify_point", "design_space", "pg_hyperplanes", "projective_points",
-                 "reflection"],
+    "geometry": ["ISOTROPIC", "NONSQUARE_TYPE", "SQUARE_TYPE", "class_points", "classify_point",
+                 "design_space", "pg_hyperplanes", "projective_points", "reflection"],
     "designs": ["DesignFormatError", "IncidenceStructure", "KINDS", "KIND_POINT_CLASS",
                 "VerificationFailure", "build", "complement", "find_isomorphism", "flags",
                 "format_design", "is_isomorphism", "parse_design", "read_design", "relabel",
@@ -56,7 +55,6 @@ RECORDS = {
     "PrimePower": (lambda: exactmath.PrimePower.of(2, 1), ("q", "p", "a")),
     "Factorization": (lambda: exactmath.factorize(360), ("pairs",)),
     "DesignParams": (lambda: exactmath.DesignParams(36, 15, 6), ("v", "k", "lam")),
-    "ProjectivePoint": (lambda: geometry.ProjectivePoint((0, 1, 2)), ("coords",)),
     "SubgroupCase": (lambda: catalog.cases_for(exactmath.PrimePower.of(2, 1))[0],
                      ("line", "subfield")),
     "IncidenceStructure": (_fano, ("v", "blocks")),
