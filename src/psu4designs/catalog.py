@@ -146,13 +146,10 @@ class SubgroupCase(NamedTuple):
     def parabolic(self) -> bool:
         return self.line in PARABOLIC_LINES
 
-    def su_level_order(self, q: PrimePower) -> int:
-        x0 = self.subfield[0].q if self.subfield else None
-        return _ROWS[self.line].su_order(q.q, math.gcd(4, q.q + 1), x0)
-
     def h0_order(self, q: PrimePower) -> int:
-        su = self.su_level_order(q)
         d = math.gcd(4, q.q + 1)
+        x0 = self.subfield[0].q if self.subfield else None
+        su = _ROWS[self.line].su_order(q.q, d, x0)
         if su % d:
             raise CatalogError(
                 f"line {self.line}: structure order {su} not divisible by d={d} at q={q.q}"
@@ -163,7 +160,7 @@ class SubgroupCase(NamedTuple):
         return self._index_and_bound(q)[0]
 
     def k_divisor_bound(self, q: PrimePower) -> int:
-        return out_order(q) * self.h0_order(q)
+        return self._index_and_bound(q)[1]
 
     def _index_and_bound(self, q: PrimePower) -> tuple[int, int]:
         """(v, k-bound) from one |X|, |H0| and |Out|; |H0| must divide |X|."""

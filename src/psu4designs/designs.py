@@ -34,10 +34,8 @@ __all__ = [
     "build",
     "verify_symmetric",
     "complement",
-    "flags",
     "find_isomorphism",
     "is_isomorphism",
-    "relabel",
     "format_design",
     "parse_design",
     "write_design",
@@ -152,25 +150,6 @@ def complement(design: IncidenceStructure) -> IncidenceStructure:
     """Replace every block by its complement in the point set."""
     full = set(range(design.v))
     blocks = tuple(tuple(sorted(full - set(b))) for b in design.blocks)
-    return IncidenceStructure(design.v, blocks)
-
-
-def flags(design: IncidenceStructure) -> list[tuple[int, int]]:
-    """All incident (point, block) pairs, lexicographic."""
-    out = []
-    for i, m in enumerate(design.point_masks()):
-        b = 0
-        while m:
-            if m & 1:
-                out.append((i, b))
-            m >>= 1
-            b += 1
-    return out
-
-
-def relabel(design: IncidenceStructure, perm: list[int]) -> IncidenceStructure:
-    """Rename point i to perm[i], keeping block order."""
-    blocks = tuple(tuple(sorted(perm[i] for i in b)) for b in design.blocks)
     return IncidenceStructure(design.v, blocks)
 
 

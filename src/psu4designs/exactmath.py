@@ -21,7 +21,6 @@ __all__ = [
     "is_perfect_square",
     "DesignParams",
     "primes_up_to",
-    "prime_powers_up_to",
 ]
 
 # Miller-Rabin witness set, also the small primes is_prime divides out
@@ -112,13 +111,6 @@ class Factorization(_Factorization):
                 raise ValueError("exponents must be >= 1")
             last = p
         return super().__new__(cls, pairs)
-
-    @property
-    def value(self) -> int:
-        n = 1
-        for p, e in self.pairs:
-            n *= p**e
-        return n
 
 
 def factorize(n: int) -> Factorization:
@@ -222,18 +214,3 @@ class PrimePower(_PrimePower):
 
     def __str__(self) -> str:
         return str(self.q)
-
-
-def prime_powers_up_to(q_max: int) -> list[PrimePower]:
-    """All prime powers p^a <= q_max with a >= 1, sorted by value."""
-    if q_max < 2:
-        raise ValueError("q_max must be >= 2")
-    out = []
-    for p in primes_up_to(q_max):
-        q, a = p, 1
-        while q <= q_max:
-            out.append(PrimePower(q, p, a))
-            q *= p
-            a += 1
-    out.sort()
-    return out

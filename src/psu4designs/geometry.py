@@ -109,6 +109,8 @@ def class_points(point_class: str) -> list[tuple[int, ...]]:
     """The points of one class in the design space, in projective_points(5, 3)
     order.  Designs and reflection actions both index points by this list,
     so their point numberings agree."""
+    if point_class not in (ISOTROPIC, SQUARE_TYPE, NONSQUARE_TYPE):
+        raise ValueError(f"unknown point class {point_class!r}")
     space = design_space()
     return [
         pt for pt in projective_points(5, 3) if classify_point(space, pt) == point_class

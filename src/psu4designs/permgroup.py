@@ -32,7 +32,6 @@ __all__ = [
     "inverse",
     "induce",
     "orbit",
-    "orbits",
     "stabilizer_chain",
     "group_order",
     "induced_block_action",
@@ -152,10 +151,6 @@ def orbit(action: PermutationAction, seed: int) -> set[int]:
     if not 0 <= seed < action.degree:
         raise ValueError("seed out of range")
     return _closure(action.generators, seed)
-
-
-def orbits(action: PermutationAction) -> list[set[int]]:
-    return _orbits(action.generators, action.degree)
 
 
 def _orbit_transversal(
@@ -334,8 +329,6 @@ def orthogonal_reflection_action(point_class: str) -> PermutationAction:
     anisotropic points and already reach that order, so they generate it all.
     """
     universe = geometry.class_points(point_class)
-    if not universe:
-        raise ValueError(f"unknown point class {point_class!r}")
     space = geometry.design_space()
     matrices = [geometry.reflection(space, v) for v in _MIRRORS]
     return induce(matrices, universe, 3)

@@ -228,8 +228,11 @@ def scan_range(p_max: int, a_max: int) -> list[PrimePower]:
 
 
 def scan_all(p_max: int, a_max: int, lines: Optional[list[int]] = None) -> ScanReport:
-    """Sieve every applicable (line, q) with p <= p_max, a <= a_max."""
-    wanted = set(lines) if lines is not None else set(catalog.LINES)
+    """Sieve every applicable (line, q) with p <= p_max, a <= a_max, on the
+    given case lines (all of them when lines is None)."""
+    wanted = catalog.LINES if lines is None else tuple(lines)
+    if unknown := [line for line in wanted if line not in catalog.LINES]:
+        raise ValueError(f"unknown case lines {unknown!r}: the lines are 1-16")
     outcomes = []
     for q in scan_range(p_max, a_max):
         for case in cases_for(q):

@@ -1,4 +1,10 @@
-"""Independent oracles for the sieve's fast paths.
+"""Independent oracles for the sieve's fast paths, and test utilities.
+
+``flags``, ``relabel``, ``prime_powers_up_to`` and ``orbits`` are test
+utilities: no program path calls them, so they live here rather than in the
+package.  ``flags`` lists a design's incident (point, block) pairs,
+``relabel`` renames its points, ``prime_powers_up_to`` enumerates the q a
+test sweeps, and ``orbits`` splits a permutation action into its orbits.
 
 ``brute_force_candidates`` deliberately does not touch the package's
 k-search: it walks every k in 3..min(v-2, cap) directly and applies the
@@ -49,7 +55,7 @@ image, before Gram-row dot products and the table of point multiples.
 them before composing through ``operator.itemgetter``: the chain builds
 every coset representative and Schreier generator with a generator
 expression, primitivity closes a block for every point but 0, and the flag
-search runs on (point, block) tuples from ``designs.flags`` after re-sorting
+search runs on (point, block) tuples from ``flags`` after re-sorting
 every block image under every generator.  ``_closure_is_trivial`` is the
 union-find that closed each of those blocks in ``permgroup`` too, before
 primitivity became one orbit of 0 per suborbit under the stabilizer of 0
@@ -92,11 +98,10 @@ from psu4designs.designs import (
     IncidenceStructure,
     VerificationFailure,
     _IsoSearch,
-    flags,
     is_isomorphism,
 )
 from psu4designs.exactmath import (
-    DesignParams, PrimePower, _DesignParams, factorize, is_perfect_square,
+    DesignParams, PrimePower, _DesignParams, factorize, is_perfect_square, primes_up_to,
 )
 from psu4designs.permgroup import (
     NotTransitiveError,
@@ -122,6 +127,45 @@ from psu4designs.sieve import (
     FeasibilityResult,
 )
 from psu4designs.sieve import _STAGE, _k_search
+
+
+def flags(design: IncidenceStructure) -> list[tuple[int, int]]:
+    """All incident (point, block) pairs, lexicographic."""
+    out = []
+    for i, m in enumerate(design.point_masks()):
+        b = 0
+        while m:
+            if m & 1:
+                out.append((i, b))
+            m >>= 1
+            b += 1
+    return out
+
+
+def relabel(design: IncidenceStructure, perm: list[int]) -> IncidenceStructure:
+    """Rename point i to perm[i], keeping block order."""
+    blocks = tuple(tuple(sorted(perm[i] for i in b)) for b in design.blocks)
+    return IncidenceStructure(design.v, blocks)
+
+
+def prime_powers_up_to(q_max: int) -> list[PrimePower]:
+    """All prime powers p^a <= q_max with a >= 1, sorted by value."""
+    if q_max < 2:
+        raise ValueError("q_max must be >= 2")
+    out = []
+    for p in primes_up_to(q_max):
+        q, a = p, 1
+        while q <= q_max:
+            out.append(PrimePower(q, p, a))
+            q *= p
+            a += 1
+    out.sort()
+    return out
+
+
+def orbits(action: PermutationAction) -> list[set[int]]:
+    return _orbits(action.generators, action.degree)
+
 
 # stage codes for (ii)-(iii) and (iv): the reference tests them, the sieve does not
 LAMBDA_BOUND_FAIL = "LAMBDA_BOUND_FAIL"

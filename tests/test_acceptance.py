@@ -8,12 +8,12 @@ tolerances anywhere in the toolkit.
 import math
 
 import pytest
-from helpers import brute_force_candidates
+from helpers import brute_force_candidates, flags, prime_powers_up_to, relabel
 
 from psu4designs import permgroup
 from psu4designs.catalog import CLOSED_FORM_V, case_for, cases_for
-from psu4designs.designs import build, complement, find_isomorphism, flags, is_isomorphism, relabel, verify_symmetric
-from psu4designs.exactmath import is_perfect_square, prime_powers_up_to
+from psu4designs.designs import build, complement, find_isomorphism, is_isomorphism, verify_symmetric
+from psu4designs.exactmath import is_perfect_square
 from psu4designs.sieve import DesignParams, bound_tables, feasible_candidates
 
 

@@ -8,10 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import relabel
 
 import psu4designs
 from psu4designs import cli, designs, sieve
-from psu4designs.designs import IncidenceStructure, build, complement, relabel, write_design
+from psu4designs.designs import IncidenceStructure, build, complement, write_design
 
 
 def run(capsys, *argv):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from helpers import (
     CounterRefineIsoSearch,
     brute_force_isomorphic,
+    flags,
     reference_build,
     reference_find_isomorphism,
     reference_pair_profiles,
     reference_verify_symmetric,
+    relabel,
 )
 from psu4designs.designs import (
     KINDS,
@@ -22,12 +24,10 @@ from psu4designs.designs import (
     build,
     complement,
     find_isomorphism,
-    flags,
     format_design,
     is_isomorphism,
     parse_design,
     read_design,
-    relabel,
     verify_symmetric,
     write_design,
     _edge_codes,

@@ -16,6 +16,7 @@ from psu4designs.geometry import (
     projective_points,
     reflection,
 )
+from psu4designs.permgroup import orthogonal_reflection_action
 
 
 def test_projective_point_counts():
@@ -91,6 +92,14 @@ def test_class_points_keep_point_order():
         got = class_points(point_class)
         assert len(got) == size
         assert got == [x for x in points if classify_point(space, x) == point_class]
+
+
+@pytest.mark.parametrize("make", [class_points, orthogonal_reflection_action])
+def test_unknown_point_class_rejected(make):
+    """A class name other than the three raises, not an empty point list;
+    the reflection action gets the check from ``class_points``."""
+    with pytest.raises(ValueError, match=r"^unknown point class 'hyperbolic'$"):
+        make("hyperbolic")
 
 
 def test_reflection_defining_properties():

@@ -5,6 +5,8 @@ import random
 import pytest
 from helpers import (
     all_reflections_action,
+    flags,
+    orbits,
     reference_compose,
     reference_induce,
     reference_induced_block_action,
@@ -12,10 +14,11 @@ from helpers import (
     reference_is_primitive,
     reference_stabilizer_chain,
     reference_stabilizer_orbit_sizes,
+    relabel,
 )
 
 from psu4designs import geometry
-from psu4designs.designs import KIND_POINT_CLASS, KINDS, IncidenceStructure, build, complement, flags, relabel
+from psu4designs.designs import KIND_POINT_CLASS, KINDS, IncidenceStructure, build, complement
 from psu4designs.geometry import SQUARE_TYPE, classify_point, design_space, projective_points, reflection
 from psu4designs.permgroup import (
     NotTransitiveError,
@@ -29,7 +32,6 @@ from psu4designs.permgroup import (
     is_flag_transitive,
     is_primitive,
     orbit,
-    orbits,
     stabilizer_chain,
     stabilizer_orbit_sizes,
 )

@@ -1,16 +1,17 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 from helpers import (
     brute_force_candidates, divisor_scan, exhaustive_cap, reference_k_search,
-    reference_scan_instance,
+    prime_powers_up_to, reference_scan_instance,
 )
 
 from psu4designs import catalog, sieve
 from psu4designs.catalog import case_for, cases_for, out_order, socle_order
 from psu4designs.exactmath import (
-    _TRIAL_LIMIT, DesignParams, PrimePower, prime_powers_up_to, primes_up_to,
+    _TRIAL_LIMIT, DesignParams, PrimePower, primes_up_to,
 )
 from psu4designs.sieve import (
     CUBE_PREFILTER,
@@ -151,6 +152,23 @@ def test_scan_all_to_p5():
         (14, 3, (1296, 630, 306)),
         (15, 3, (162, 70, 30)),
     ]
+
+
+@pytest.mark.parametrize("lines, unknown", [
+    ([99], "[99]"), (["8"], "['8']"), ([8, 99], "[99]"), ([0, 8, 17, 16], "[0, 17]"),
+])
+def test_scan_all_rejects_unknown_lines(lines, unknown):
+    """A line outside 1-16 raises, naming every such entry, instead of
+    being skipped while the known lines are scanned."""
+    with pytest.raises(ValueError, match=re.escape(f"unknown case lines {unknown}:")):
+        scan_all(13, 3, lines)
+
+
+def test_scan_all_line_selection():
+    """None scans every line, an empty list none, and a list just its lines."""
+    assert scan_all(3, 1, None) == scan_all(3, 1, list(range(1, 17)))
+    assert scan_all(3, 1, []).outcomes == []
+    assert {oc.line for oc in scan_all(3, 1, [8, 15]).outcomes} == {8, 15}
 
 
 def test_scan_all_known_triples_at_p11():
