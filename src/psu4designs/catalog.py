@@ -15,7 +15,7 @@ the machine-checkable consistency criterion, and the closed forms in
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .exactmath import PrimePower, is_prime
 
@@ -147,30 +147,13 @@ class SubgroupCase(NamedTuple):
         return self.line in PARABOLIC_LINES
 
     def h0_order(self, q: PrimePower) -> int:
-        d = math.gcd(4, q.q + 1)
-        x0 = self.subfield[0].q if self.subfield else None
-        su = _ROWS[self.line].su_order(q.q, d, x0)
-        if su % d:
-            raise CatalogError(
-                f"line {self.line}: structure order {su} not divisible by d={d} at q={q.q}"
-            )
-        return su // d
+        return self._numbers(q)[1]
 
     def point_count(self, q: PrimePower) -> int:
-        return self._index_and_bound(q)[0]
+        return self._numbers(q)[2]
 
     def k_divisor_bound(self, q: PrimePower) -> int:
-        return self._index_and_bound(q)[1]
-
-    def _index_and_bound(self, q: PrimePower) -> tuple[int, int]:
-        """(v, k-bound) from one |X|, |H0| and |Out|; |H0| must divide |X|."""
-        order = socle_order(q)
-        h0 = self.h0_order(q)
-        if order % h0:
-            raise CatalogError(
-                f"line {self.line}: |H0|={h0} does not divide |X|={order} at q={q.q}"
-            )
-        return order // h0, out_order(q) * h0
+        return self._numbers(q)[3]
 
     def subdegree_divisors(self, q: PrimePower) -> list[int]:
         """Known divisors D with: some subdegree of G divides D.
@@ -178,7 +161,39 @@ class SubgroupCase(NamedTuple):
         For the parabolic lines the entry is the p-part q^6; the sieve
         narrows it with gcd(q^6, v-1) before applying k | lambda*D.
         """
-        return _ROWS[self.line].subdegrees(q.q)
+        return self._numbers(q)[4]
+
+    def _numbers(self, q: PrimePower) -> tuple[SubgroupCase, int, int, int, list[int]]:
+        (numbers,) = _case_numbers(q, [self])
+        return numbers
+
+
+def _case_numbers(
+    q: PrimePower, cases: list[SubgroupCase]
+) -> Iterator[tuple[SubgroupCase, int, int, int, list[int]]]:
+    """(case, |H0|, v, k-bound, subdegree divisors) for each given case at q.
+
+    d = gcd(4, q+1), |X| and |Out| are worked out once for all the cases,
+    and not at all when there are none; |H0| = su/d, v = |X|/|H0| and the
+    k-bound is |Out|*|H0|.
+    """
+    if not cases:
+        return
+    d = math.gcd(4, q.q + 1)
+    order, out = socle_order(q), out_order(q)
+    for case in cases:
+        row = _ROWS[case.line]
+        su = row.su_order(q.q, d, case.subfield[0].q if case.subfield else None)
+        if su % d:
+            raise CatalogError(
+                f"line {case.line}: structure order {su} not divisible by d={d} at q={q.q}"
+            )
+        h0 = su // d
+        if order % h0:
+            raise CatalogError(
+                f"line {case.line}: |H0|={h0} does not divide |X|={order} at q={q.q}"
+            )
+        yield case, h0, order // h0, out * h0, row.subdegrees(q.q)
 
 
 def cases_for(q: PrimePower) -> list[SubgroupCase]:

@@ -44,15 +44,15 @@ def primes_up_to(n: int) -> list[int]:
 
 
 _TRIAL_PRIMES = primes_up_to(_TRIAL_LIMIT)
+_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
-    if n < 2:
-        return False
+    """Deterministic primality test: below 10^4 a lookup in the trial-prime
+    table, above it Miller-Rabin with a fixed witness set."""
+    if n < _TRIAL_LIMIT:
+        return n in _TRIAL_PRIME_SET
     for p in _MR_WITNESSES:
-        if n == p:
-            return True
         if n % p == 0:
             return False
     d = n - 1

@@ -85,7 +85,7 @@ def _k_search(
     if not parabolic and math.gcd(p, v - 1) != 1:
         return FeasibilityResult([], {}, tits_violated=True)
     vm1 = v - 1
-    effective = [math.gcd(d, vm1) if parabolic else d for d in subdeg]
+    effective = [math.gcd(d, vm1) for d in subdeg] if parabolic else subdeg
     rejections: dict[str, int] = {}
     candidates: list[tuple[DesignParams, dict]] = []
     # gcd(k, k-1) = 1, so each prime power g = r^e exactly dividing v-1
@@ -150,11 +150,13 @@ def scan_case(
     line: int, q: PrimePower, subfield: Optional[tuple[PrimePower, int]] = None
 ) -> CaseOutcome:
     """Run the sieve on one applicable (line, q) pair."""
-    return _scan_instance(case_for(line, q, subfield), q)
+    ((case, _, v, k_bound, subdeg),) = catalog._case_numbers(q, [case_for(line, q, subfield)])
+    return _scan_instance(case, q, v, k_bound, subdeg)
 
 
-def _scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
-    v, k_bound = case._index_and_bound(q)
+def _scan_instance(
+    case: SubgroupCase, q: PrimePower, v: int, k_bound: int, subdeg: list[int]
+) -> CaseOutcome:
     # cube test |X| <= |Out|^2 |H0|^3 of the fixed-group lines (paper table 9):
     # v = |X|/|H0| and the k-bound is |Out|*|H0|, so it fails exactly when v >
     # k-bound^2, and then each k > 1 dividing the bound has 0 < k(k-1) < v-1
@@ -162,16 +164,16 @@ def _scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
         candidates, rejections, reason = [], {}, CUBE_PREFILTER
     else:
         candidates, rejections, tits_violated = _k_search(
-            v, k_bound, case.subdegree_divisors(q), q.p, case.parabolic
+            v, k_bound, subdeg, q.p, case.parabolic
         )
         deepest = max(rejections, key=_STAGE.get, default=NO_K_DIVISOR)
         reason = TITS_FAIL if tits_violated else deepest
-    for params, trace in candidates:
-        known = q.q == 2 and params.triple() in KNOWN_DESIGN_PARAMS
-        trace["classification"] = SURVIVOR if known else UNRESOLVED
-    classes = {trace["classification"] for _, trace in candidates}
     status = ELIMINATED
-    if classes:
+    if candidates:
+        for params, trace in candidates:
+            known = q.q == 2 and params.triple() in KNOWN_DESIGN_PARAMS
+            trace["classification"] = SURVIVOR if known else UNRESOLVED
+        classes = {trace["classification"] for _, trace in candidates}
         status = UNRESOLVED if UNRESOLVED in classes else SURVIVOR
         reason = None
     return CaseOutcome(
@@ -207,12 +209,6 @@ class ScanReport(NamedTuple):
                     out.append((oc.line, oc.q.q, params.triple()))
         return out
 
-    def outcome(self, line: int, q_value: int) -> CaseOutcome:
-        for oc in self.outcomes:
-            if oc.line == line and oc.q.q == q_value:
-                return oc
-        raise KeyError((line, q_value))
-
 
 def scan_range(p_max: int, a_max: int) -> list[PrimePower]:
     """Prime powers p^a with p <= p_max and a <= a_max, sorted by value."""
@@ -235,9 +231,9 @@ def scan_all(p_max: int, a_max: int, lines: Optional[list[int]] = None) -> ScanR
         raise ValueError(f"unknown case lines {unknown!r}: the lines are 1-16")
     outcomes = []
     for q in scan_range(p_max, a_max):
-        for case in cases_for(q):
-            if case.line in wanted:
-                outcomes.append(_scan_instance(case, q))
+        cases = [case for case in cases_for(q) if case.line in wanted]
+        for case, _, v, k_bound, subdeg in catalog._case_numbers(q, cases):
+            outcomes.append(_scan_instance(case, q, v, k_bound, subdeg))
     outcomes.sort(key=CaseOutcome.sort_key)
     return ScanReport(p_max, a_max, outcomes)
 
@@ -316,8 +312,9 @@ def _table9() -> dict[int, list[int]]:
     lines: dict[int, list[int]] = {line: [] for line in FIXED_GROUP_LINES}
     for p in primes_up_to(200):
         q = PrimePower.of(p, 1)
-        for case in catalog.cases_for(q):
-            if case.line in lines and _scan_instance(case, q).reason != CUBE_PREFILTER:
+        cases = [case for case in catalog.cases_for(q) if case.line in lines]
+        for case, _, v, k_bound, subdeg in catalog._case_numbers(q, cases):
+            if _scan_instance(case, q, v, k_bound, subdeg).reason != CUBE_PREFILTER:
                 lines[case.line].append(p)
     return lines
 
@@ -327,7 +324,7 @@ def _table9() -> dict[int, list[int]]:
 # every odd prime.  Table 7 has every 1 < a <= a_max, v = q^2(q^3+1), q = 2^a.
 _TABLES = {
     "3": lambda: {
-        q.q: case_for(4, q)._index_and_bound(q)
+        q.q: next(catalog._case_numbers(q, [case_for(4, q)]))[2:4]
         for q in map(PrimePower.from_value, (2, 3, 4, 5, 8))
     },
     "4": lambda: _caps(_t4_holds, primes_up_to(_Q_CEILING)),

@@ -8,7 +8,7 @@ from helpers import (
     reference_subdegree_divisors,
 )
 
-from psu4designs import catalog
+from psu4designs import catalog, sieve
 from psu4designs.catalog import (
     CLOSED_FORM_V,
     CatalogError,
@@ -120,14 +120,40 @@ def test_line13_not_at_q3():
     assert any(c.line == 13 for c in cases_for(q5))
 
 
+def _su_at(q_value, su):
+    """Line 1's SU-level order, replaced by su(d) at q = q_value alone."""
+    real = catalog._ROWS[1].su_order
+    return lambda x, d, x0: su(d) if x == q_value else real(x, d, x0)
+
+
+# bad rows: (q, SU-level order of line 1, the CatalogError it must raise)
+_BAD_ROWS = [
+    # d = 4 at q = 3, and 2 is not a multiple of it
+    (Q3, _su_at(3, lambda d: 2), "structure order 2 not divisible by d=4 at q=3"),
+    # d = 1 at q = 2, and 7 does not divide |X| = 25920
+    (Q2, _su_at(2, lambda d: 7 * d), r"\|H0\|=7 does not divide \|X\|=25920 at q=2"),
+]
+
+
 def test_inconsistent_order_detected(monkeypatch):
-    row = catalog._ROWS[1]._replace(su_order=lambda x, d, x0: 7)
-    monkeypatch.setitem(catalog._ROWS, 1, row)
-    case = case_for(1, Q2)
-    with pytest.raises(CatalogError):
-        case.point_count(Q2)
-    with pytest.raises(CatalogError):
-        case.k_divisor_bound(Q2)
+    """Each bad row raises through every path that reads line 1's numbers at
+    q, and a scan restricted to another line never reads them."""
+    for q, su_order, message in _BAD_ROWS:
+        monkeypatch.setitem(catalog._ROWS, 1, catalog._ROWS[1]._replace(su_order=su_order))
+        case = case_for(1, q)
+        paths = [
+            case.point_count,
+            case.k_divisor_bound,
+            lambda q: sieve.scan_case(1, q),
+            lambda q: sieve.scan_all(q.p, q.a),
+        ]
+        if q == Q3:
+            paths.append(case.h0_order)
+        for path in paths:
+            with pytest.raises(CatalogError, match=message):
+                path(q)
+        assert sieve.scan_all(q.p, q.a, lines=[8]).outcomes
+        monkeypatch.undo()
 
 
 def test_rows_match_reference_chains():

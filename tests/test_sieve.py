@@ -136,7 +136,8 @@ def test_scan_all_smallest_range():
         (8, 2, (36, 15, 6)),
     ]
     assert report.unresolved == []
-    assert report.outcome(2, 2).status == ELIMINATED
+    (line2,) = [oc for oc in report.outcomes if (oc.line, oc.q.q) == (2, 2)]
+    assert line2.status == ELIMINATED
 
 
 def test_scan_all_to_p5():
@@ -416,6 +417,20 @@ def test_table9_enumerates_each_prime_once(monkeypatch):
     bound_table("9")
     assert calls == primes_up_to(200)
     assert len(calls) == 46
+
+
+def test_scan_all_works_out_socle_order_once_per_q(monkeypatch):
+    """|X| depends on q alone, so a scan works it out once per q, not once
+    per case (857 cases over these 78 q), and only at the q where a wanted
+    line applies (line 15 applies at q = 3 alone)."""
+    socle_order, calls = catalog.socle_order, []
+    monkeypatch.setattr(catalog, "socle_order", lambda q: calls.append(q.q) or socle_order(q))
+    scan_all(400, 1)
+    assert calls == [q.q for q in scan_range(400, 1)]
+    assert len(calls) == 78
+    calls.clear()
+    scan_all(400, 1, lines=[15])
+    assert calls == [3]
 
 
 def test_cube_prefilter_never_decides_a_status():
