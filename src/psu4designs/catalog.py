@@ -6,9 +6,9 @@ maximal subgroups and each one row of ``_ROWS``: an applicability test on
 subdegree divisors the sieve consumes.  The subgroups themselves are never
 constructed.
 
-Stabiliser orders are defined as (structure order at SU level) / d with
-d = gcd(4, q+1); the index identity v * h0_order(q) == socle_order(q) is
-the machine-checkable consistency criterion, and the closed forms in
+Stabiliser orders |H0| are defined as (structure order at SU level) / d
+with d = gcd(4, q+1); the index identity v * |H0| == |X| is the
+machine-checkable consistency criterion, and the closed forms in
 ``CLOSED_FORM_V`` cross-check it for the lines where one is known.
 """
 
@@ -146,14 +146,11 @@ class SubgroupCase(NamedTuple):
     def parabolic(self) -> bool:
         return self.line in PARABOLIC_LINES
 
-    def h0_order(self, q: PrimePower) -> int:
+    def point_count(self, q: PrimePower) -> int:
         return self._numbers(q)[1]
 
-    def point_count(self, q: PrimePower) -> int:
-        return self._numbers(q)[2]
-
     def k_divisor_bound(self, q: PrimePower) -> int:
-        return self._numbers(q)[3]
+        return self._numbers(q)[2]
 
     def subdegree_divisors(self, q: PrimePower) -> list[int]:
         """Known divisors D with: some subdegree of G divides D.
@@ -161,17 +158,17 @@ class SubgroupCase(NamedTuple):
         For the parabolic lines the entry is the p-part q^6; the sieve
         narrows it with gcd(q^6, v-1) before applying k | lambda*D.
         """
-        return self._numbers(q)[4]
+        return self._numbers(q)[3]
 
-    def _numbers(self, q: PrimePower) -> tuple[SubgroupCase, int, int, int, list[int]]:
+    def _numbers(self, q: PrimePower) -> tuple[SubgroupCase, int, int, list[int]]:
         (numbers,) = _case_numbers(q, [self])
         return numbers
 
 
 def _case_numbers(
     q: PrimePower, cases: list[SubgroupCase]
-) -> Iterator[tuple[SubgroupCase, int, int, int, list[int]]]:
-    """(case, |H0|, v, k-bound, subdegree divisors) for each given case at q.
+) -> Iterator[tuple[SubgroupCase, int, int, list[int]]]:
+    """(case, v, k-bound, subdegree divisors) for each given case at q.
 
     d = gcd(4, q+1), |X| and |Out| are worked out once for all the cases,
     and not at all when there are none; |H0| = su/d, v = |X|/|H0| and the
@@ -193,7 +190,7 @@ def _case_numbers(
             raise CatalogError(
                 f"line {case.line}: |H0|={h0} does not divide |X|={order} at q={q.q}"
             )
-        yield case, h0, order // h0, out * h0, row.subdegrees(q.q)
+        yield case, order // h0, out * h0, row.subdegrees(q.q)
 
 
 def cases_for(q: PrimePower) -> list[SubgroupCase]:

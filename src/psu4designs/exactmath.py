@@ -9,6 +9,7 @@ precision; the sieve routinely builds stabiliser orders and k-bounds in the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -23,8 +24,9 @@ __all__ = [
     "primes_up_to",
 ]
 
-# Miller-Rabin witness set, also the small primes is_prime divides out
-# first; it proves primality for all n < 3.317e24.
+# Miller-Rabin witness set; it proves primality for all n < 3.317e24.  A
+# witness a that divides n rejects it: a^d mod n and each of its squares are
+# 0 mod a, while 1 and n-1 are not.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 10_000
@@ -44,17 +46,14 @@ def primes_up_to(n: int) -> list[int]:
 
 
 _TRIAL_PRIMES = primes_up_to(_TRIAL_LIMIT)
-_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: below 10^4 a lookup in the trial-prime
-    table, above it Miller-Rabin with a fixed witness set."""
+    """Deterministic primality test: below 10^4 a binary search of the
+    trial-prime table, above it Miller-Rabin with a fixed witness set."""
     if n < _TRIAL_LIMIT:
-        return n in _TRIAL_PRIME_SET
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return False
+        i = bisect_left(_TRIAL_PRIMES, n)
+        return i < len(_TRIAL_PRIMES) and _TRIAL_PRIMES[i] == n
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
@@ -211,6 +210,3 @@ class PrimePower(_PrimePower):
             raise ValueError(f"{q} is not a prime power")
         p, a = f.pairs[0]
         return cls(q, p, a)
-
-    def __str__(self) -> str:
-        return str(self.q)

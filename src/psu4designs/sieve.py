@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple, Optional
 
 from . import catalog
-from .catalog import FIXED_GROUP_LINES, SubgroupCase, case_for, cases_for
+from .catalog import FIXED_GROUP_LINES, SubgroupCase, case_for
 from .exactmath import DesignParams, PrimePower, factorize, primes_up_to
 
 __all__ = [
@@ -53,16 +53,12 @@ ELIMINATED = "eliminated"
 SURVIVOR = "survivor"
 UNRESOLVED = "unresolved"
 
-# rejection / elimination reason codes
+# rejection / elimination reason codes; NO_K_DIVISOR counts the residues k
+# allowed by (v-1) | k(k-1) that do not divide the k-bound
 NO_K_DIVISOR = "NO_K_DIVISOR"
 SUBDEG_FAIL = "SUBDEG_FAIL"
 TITS_FAIL = "TITS_FAIL"
 CUBE_PREFILTER = "CUBE_PREFILTER"
-
-# stage depth of the per-k rejection codes; an eliminated case is summarised
-# by the deepest stage any k reached.  NO_K_DIVISOR counts the residues k
-# allowed by (v-1) | k(k-1) that do not divide the k-bound
-_STAGE = {NO_K_DIVISOR: 0, SUBDEG_FAIL: 1}
 
 # parameter triples of the known flag-transitive point-primitive designs,
 # all at q=2
@@ -150,7 +146,7 @@ def scan_case(
     line: int, q: PrimePower, subfield: Optional[tuple[PrimePower, int]] = None
 ) -> CaseOutcome:
     """Run the sieve on one applicable (line, q) pair."""
-    ((case, _, v, k_bound, subdeg),) = catalog._case_numbers(q, [case_for(line, q, subfield)])
+    ((case, v, k_bound, subdeg),) = catalog._case_numbers(q, [case_for(line, q, subfield)])
     return _scan_instance(case, q, v, k_bound, subdeg)
 
 
@@ -166,7 +162,8 @@ def _scan_instance(
         candidates, rejections, tits_violated = _k_search(
             v, k_bound, subdeg, q.p, case.parabolic
         )
-        deepest = max(rejections, key=_STAGE.get, default=NO_K_DIVISOR)
+        # an eliminated case is named by the deepest stage any k reached
+        deepest = SUBDEG_FAIL if SUBDEG_FAIL in rejections else NO_K_DIVISOR
         reason = TITS_FAIL if tits_violated else deepest
     status = ELIMINATED
     if candidates:
@@ -189,8 +186,6 @@ class ScanReport(NamedTuple):
     (line, q, q0) and serialise deterministically.
     """
 
-    p_max: int
-    a_max: int
     outcomes: list[CaseOutcome]
 
     @property
@@ -231,19 +226,19 @@ def scan_all(p_max: int, a_max: int, lines: Optional[list[int]] = None) -> ScanR
         raise ValueError(f"unknown case lines {unknown!r}: the lines are 1-16")
     outcomes = []
     for q in scan_range(p_max, a_max):
-        cases = [case for case in cases_for(q) if case.line in wanted]
-        for case, _, v, k_bound, subdeg in catalog._case_numbers(q, cases):
+        cases = [case for case in catalog.cases_for(q) if case.line in wanted]
+        for case, v, k_bound, subdeg in catalog._case_numbers(q, cases):
             outcomes.append(_scan_instance(case, q, v, k_bound, subdeg))
     outcomes.sort(key=CaseOutcome.sort_key)
-    return ScanReport(p_max, a_max, outcomes)
+    return ScanReport(outcomes)
 
 
 # ---------------------------------------------------------------------------
 # Bound-table reproduction.
 #
-# Tables 4, 6, 7 and 8 are q-range cut-offs derived from divisibility
-# inequalities; the inequality expressions are data of this operation and
-# are evaluated exactly.
+# Tables 3 and 9 read the scan: line 4's v and k-bound, and the fixed-group
+# cases past the cube prefilter.  Tables 4, 6, 7 and 8 are q-range cut-offs
+# from divisibility inequalities, evaluated exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -309,13 +304,11 @@ def _caps(holds, primes: list[int]) -> dict[int, int]:
 
 
 def _table9() -> dict[int, list[int]]:
+    # every fixed-group line needs a = 1, and outcomes come sorted by q
     lines: dict[int, list[int]] = {line: [] for line in FIXED_GROUP_LINES}
-    for p in primes_up_to(200):
-        q = PrimePower.of(p, 1)
-        cases = [case for case in catalog.cases_for(q) if case.line in lines]
-        for case, _, v, k_bound, subdeg in catalog._case_numbers(q, cases):
-            if _scan_instance(case, q, v, k_bound, subdeg).reason != CUBE_PREFILTER:
-                lines[case.line].append(p)
+    for oc in scan_all(200, 1, list(FIXED_GROUP_LINES)).outcomes:
+        if oc.reason != CUBE_PREFILTER:
+            lines[oc.line].append(oc.q.q)
     return lines
 
 
@@ -324,8 +317,8 @@ def _table9() -> dict[int, list[int]]:
 # every odd prime.  Table 7 has every 1 < a <= a_max, v = q^2(q^3+1), q = 2^a.
 _TABLES = {
     "3": lambda: {
-        q.q: next(catalog._case_numbers(q, [case_for(4, q)]))[2:4]
-        for q in map(PrimePower.from_value, (2, 3, 4, 5, 8))
+        oc.q.q: (oc.v, oc.k_bound)
+        for oc in (scan_case(4, PrimePower.from_value(x)) for x in (2, 3, 4, 5, 8))
     },
     "4": lambda: _caps(_t4_holds, primes_up_to(_Q_CEILING)),
     "6": lambda: _caps(_t6_holds, primes_up_to(_Q_CEILING)),

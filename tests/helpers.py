@@ -126,7 +126,7 @@ from psu4designs.sieve import (
     CaseOutcome,
     FeasibilityResult,
 )
-from psu4designs.sieve import _STAGE, _k_search
+from psu4designs.sieve import _k_search
 
 
 def flags(design: IncidenceStructure) -> list[tuple[int, int]]:
@@ -300,11 +300,17 @@ def reference_k_search(
     return FeasibilityResult(candidates, dict(rejections))
 
 
+# The stage depth of the per-k rejection codes, as the sieve kept it before
+# naming an eliminated case by a rule: the deepest stage any k reached.
+_STAGE = {NO_K_DIVISOR: 0, SUBDEG_FAIL: 1}
+
+
 def reference_scan_instance(case: SubgroupCase, q: PrimePower) -> CaseOutcome:
     v = case.point_count(q)
     k_bound = case.k_divisor_bound(q)
+    h0 = socle_order(q) // v
     if case.line in FIXED_GROUP_LINES and not (
-        socle_order(q) <= out_order(q) ** 2 * case.h0_order(q) ** 3
+        socle_order(q) <= out_order(q) ** 2 * h0 ** 3
     ):
         candidates, rejections, reason = [], {}, CUBE_PREFILTER
     else:

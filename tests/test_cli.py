@@ -86,7 +86,7 @@ def test_sieve_pmax_ceiling(monkeypatch, capsys):
         assert (code, out) == (2, "error: --pmax above 100000 is not supported\n")
     code, out = run(capsys, "sieve", "--pmax", "1", "--amax", "1")
     assert (code, out) == (2, "error: need --pmax >= 2 and --amax >= 1\n")
-    monkeypatch.setattr(sieve, "scan_all", lambda p, a, lines: sieve.ScanReport(p, a, []))
+    monkeypatch.setattr(sieve, "scan_all", lambda p, a, lines: sieve.ScanReport([]))
     code, out = run(capsys, "sieve", "--pmax", str(cli._PMAX_CEILING), "--amax", "1")
     assert code == 0 and out.startswith("sieve line=all pmax=100000 amax=1\n")
 

@@ -27,14 +27,16 @@ def test_gcd_values():
 def test_is_prime_matches_trial_division():
     """The trial-prime table below _TRIAL_LIMIT and Miller-Rabin above it
     agree with trial division, and the witness set rejects strong
-    pseudoprimes to the bases up to 7, 23 and 37."""
+    pseudoprimes to the bases up to 7, 23 and 37, Carmichael numbers, and
+    multiples of a witness above the table."""
     def by_trial(n):
         return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
     assert [is_prime(n) for n in range(-3, 20001)] == [by_trial(n) for n in range(-3, 20001)]
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461,
+              41041, 825265, 2 * (10**9 + 7), 41 * (10**9 + 7), 3**40, 2**89):
         assert not is_prime(n)
-    assert is_prime(10007) and is_prime(1000000007)
+    assert is_prime(10007) and is_prime(1000000007) and is_prime(2**89 - 1)
 
 
 def test_factorize_known():

@@ -50,14 +50,19 @@ UNREAD_PUBLIC = {
 }
 
 
+def _program_files() -> list[Path]:
+    """The package modules and the benchmark scripts."""
+    root = Path(__file__).resolve().parents[1]
+    return sorted([*(root / "src" / "psu4designs").glob("*.py"), *(root / "bench").glob("*.py")])
+
+
 def _program_reads() -> set[tuple[str, str]]:
     """(module, name) for each name the package and benchmark scripts read:
     as ``<module>.<name>``, by ``from psu4designs.<module> import`` or
     ``from .<module> import``, or by name in its own module, outside the
     top-level statement that defines it."""
-    root = Path(__file__).resolve().parents[1]
     reads = set()
-    for path in sorted([*(root / "src" / "psu4designs").glob("*.py"), *(root / "bench").glob("*.py")]):
+    for path in _program_files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -91,6 +96,49 @@ def test_public_names_have_program_readers():
     assert unread == sorted(UNREAD_PUBLIC)
 
 
+def _attribute_reads() -> set[str]:
+    """Every name read as an attribute ``x.<name>`` in the package or the
+    benchmark scripts."""
+    return {
+        node.attr
+        for path in _program_files()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def _public_members(cls: type) -> set[str]:
+    """A class's record fields and the public names its own module's class
+    bodies define for it (methods and properties), bases included."""
+    members = set(getattr(cls, "_fields", ()))
+    for klass in cls.__mro__:
+        if klass.__module__ != cls.__module__:
+            continue
+        tree = ast.parse(Path(sys.modules[klass.__module__].__file__).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == klass.__name__:
+                members.update(
+                    stmt.name for stmt in node.body
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+                )
+    return members
+
+
+def test_public_record_members_have_program_readers():
+    """Every field, method and property of a public class is read as an
+    attribute by the package or the benchmark; a member only tests read
+    belongs in ``tests/helpers.py``."""
+    reads = _attribute_reads()
+    unread = []
+    for name in MODULES:
+        module = importlib.import_module(f"psu4designs.{name}")
+        for attr in module.__all__:
+            cls = getattr(module, attr)
+            if isinstance(cls, type):
+                unread += [f"{attr}.{m}" for m in sorted(_public_members(cls)) if m not in reads]
+    assert unread == []
+
+
 def _fano():
     return designs.IncidenceStructure(7, tuple(map(tuple, geometry.pg_hyperplanes(3, 2))))
 
@@ -114,7 +162,7 @@ RECORDS = {
     "CaseOutcome": (lambda: sieve.scan_all(2, 1, [8]).outcomes[0],
                     ("line", "q", "v", "k_bound", "status", "reason", "candidates", "rejections",
                      "subfield")),
-    "ScanReport": (lambda: sieve.scan_all(2, 1, [8]), ("p_max", "a_max", "outcomes")),
+    "ScanReport": (lambda: sieve.scan_all(2, 1, [8]), ("outcomes",)),
     "PermutationAction": (_cycle, ("degree", "generators")),
     "StabilizerChain": (lambda: permgroup.stabilizer_chain(_cycle()), ("base", "transversals", "order")),
 }

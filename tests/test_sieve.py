@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from collections import Counter
@@ -29,7 +30,7 @@ from psu4designs.sieve import (
     scan_case,
     scan_range,
 )
-from psu4designs.sieve import _STAGE, _cap, _k_search, _t4_holds, _t6_holds, _t7_holds, _t8_holds
+from psu4designs.sieve import _cap, _k_search, _t4_holds, _t6_holds, _t7_holds, _t8_holds
 
 Q2 = PrimePower.of(2, 1)
 Q3 = PrimePower.of(3, 1)
@@ -42,7 +43,7 @@ def triples(candidates):
 
 
 def past_stage0(rejections):
-    return {r: n for r, n in rejections.items() if _STAGE[r] > 0}
+    return {r: n for r, n in rejections.items() if r != NO_K_DIVISOR}
 
 
 def test_parabolic_line1_at_q2():
@@ -354,7 +355,8 @@ def test_cube_prefilter_is_the_scan_reason():
     for p in primes_up_to(1000):
         q = PrimePower.of(p, 1)
         for line in {c.line for c in cases_for(q)} & set(range(11, 17)):
-            passes = socle_order(q) <= out_order(q) ** 2 * case_for(line, q).h0_order(q) ** 3
+            h0 = socle_order(q) // case_for(line, q).point_count(q)
+            passes = socle_order(q) <= out_order(q) ** 2 * h0**3
             assert (scan_case(line, q).reason == CUBE_PREFILTER) == (not passes), (line, p)
             seen.add(passes)
     assert seen == {True, False}
@@ -371,8 +373,18 @@ def test_k_search_factors_only_trial_proven_numbers(monkeypatch):
 
 
 # The scan ranges over which every refactor of the sieve has kept its
-# outcomes byte-identical.
-BYTE_IDENTITY_RANGES = [(13, 3), (400, 1), (2, 12), (1000, 1), (60, 4), (3, 9), (31, 3), (7, 6)]
+# outcomes byte-identical, with the sha256 of ``repr(scan_all(p, a).outcomes)``.
+BYTE_IDENTITY_DIGESTS = {
+    (13, 3): "b415cfc03631ed3d84b7a66423761d644fa3d923c89d3bb4ce3e62b6ed6803a7",
+    (400, 1): "253e2823b159ac13b4b1de78c7fe10969542627f0ee8c478ea2222733d982819",
+    (2, 12): "3586cf7dbeff45572947a794d5b4caeee8c2c81417face172b654fc686f25b40",
+    (1000, 1): "ee880fe229275b8db45bd2fc3e808f88b3f3df579dc8d3067d1f2310c938fc58",
+    (60, 4): "2d0406821becf33a5634622742751f962c2f51d2f614b3520c6d5853303aef7c",
+    (3, 9): "db28b83ccabac0797a19d32e6d4adfa3d71cd57951c0a58446049c57d5f3ca13",
+    (31, 3): "53d63b90dd4b79d7f36a1c0ace9b17c61a87a6781f21a5d5f9cf22b0185d1ebe",
+    (7, 6): "3ee948d7cc2695125f947663c09efd75af6f8d21a377697542182f9f948c6936",
+}
+BYTE_IDENTITY_RANGES = list(BYTE_IDENTITY_DIGESTS)
 
 # is_prime's 13 Miller-Rabin witnesses (the primes up to 41) prove primality
 # below this bound (Sorenson and Webster, 2015).
@@ -398,8 +410,10 @@ def test_k_search_factors_only_miller_rabin_proven_numbers(monkeypatch):
 def test_scan_matches_reference_scan_instance(p_max, a_max):
     """Reading v, the k-bound and the cube test from one |X| and one |H0| per
     case gives, outcome by outcome and byte for byte, the outcomes of the
-    separate catalog calls and the cube test |X| <= |Out|^2 * |H0|^3."""
+    separate catalog calls and the cube test |X| <= |Out|^2 * |H0|^3; and the
+    outcomes' repr hashes to the digest pinned for the range."""
     got = scan_all(p_max, a_max).outcomes
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == BYTE_IDENTITY_DIGESTS[p_max, a_max]
     want = sorted(
         (reference_scan_instance(case, q) for q in scan_range(p_max, a_max) for case in cases_for(q)),
         key=CaseOutcome.sort_key,
