@@ -165,6 +165,10 @@ class SubgroupCase(NamedTuple):
         return numbers
 
 
+# Immutable values shared by every q: the one case of each line but 7.
+_CASES = {line: SubgroupCase(line) for line in _ROWS if line != 7}
+
+
 def _case_numbers(
     q: PrimePower, cases: list[SubgroupCase]
 ) -> Iterator[tuple[SubgroupCase, int, int, list[int]]]:
@@ -201,7 +205,7 @@ def cases_for(q: PrimePower) -> list[SubgroupCase]:
             if line == 7:
                 out += [SubgroupCase(7, dec) for dec in _subfield_decompositions(q)]
             else:
-                out.append(SubgroupCase(line))
+                out.append(_CASES[line])
     return out
 
 

@@ -74,7 +74,7 @@ def _pollard_rho(n: int) -> int:
     """A factor 1 < d < n of odd composite n (Floyd's cycle detection).
 
     The addend c is stepped deterministically so repeated runs factor the
-    same input the same way.  ``factorize`` calls it only on cofactors
+    same input the same way.  ``_prime_powers`` calls it only on cofactors
     >= 10^8 with no prime factor below 10^4, so n is never even.
     """
     for c in range(1, 100):
@@ -112,6 +112,39 @@ class Factorization(_Factorization):
         return super().__new__(cls, pairs)
 
 
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """The canonical (p, e) pairs of n >= 1, as in ``factorize`` but with no
+    record built or checked."""
+    pairs = []
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+    # a cofactor n < 10^8 is 1 or prime: either p^2 > n with every prime
+    # below p divided out, or every prime below 10^4 was, and 10007^2 > 10^8
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        if n > 1:
+            pairs.append((n, 1))
+        return tuple(pairs)
+    counts: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        m = stack.pop()  # never 1: rho splits m into 1 < d < m
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+            continue
+        d = _pollard_rho(m)
+        stack.append(d)
+        stack.append(m // d)
+    return tuple(pairs) + tuple(sorted(counts.items()))
+
+
 def factorize(n: int) -> Factorization:
     """Canonical prime factorization of n >= 1.
 
@@ -122,23 +155,7 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    counts: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()  # never 1: n > 1 here, and rho splits m into 1 < d < m
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return Factorization(tuple(sorted(counts.items())))
+    return Factorization(_prime_powers(n))
 
 
 def is_perfect_square(n: int) -> bool:

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 from . import catalog
 from .catalog import FIXED_GROUP_LINES, SubgroupCase, case_for
-from .exactmath import DesignParams, PrimePower, factorize, primes_up_to
+from .exactmath import DesignParams, PrimePower, _prime_powers, primes_up_to
 
 __all__ = [
     "CaseOutcome",
@@ -65,22 +65,21 @@ CUBE_PREFILTER = "CUBE_PREFILTER"
 KNOWN_DESIGN_PARAMS = frozenset({(45, 12, 3), (40, 27, 18), (36, 15, 6)})
 
 
-class FeasibilityResult(NamedTuple):
-    candidates: list[tuple[DesignParams, dict]]
-    rejections: dict[str, int]
-    tits_violated: bool = False
-
-
 def _k_search(
     v: int, k_bound: int, subdeg: list[int], p: int, parabolic: bool
-) -> FeasibilityResult:
+) -> tuple[list[tuple[DesignParams, dict]], dict[str, int], bool]:
+    """(candidates, rejection counts, tits violated) of one case."""
     if v < 4:
         raise ValueError("v must be >= 4")
     if k_bound < 1:
         raise ValueError("k_bound must be >= 1")
     if not parabolic and math.gcd(p, v - 1) != 1:
-        return FeasibilityResult([], {}, tits_violated=True)
+        return [], {}, True
     vm1 = v - 1
+    shared = math.gcd(k_bound, vm1)
+    if shared == 1:
+        # a gcd of 1 leaves only the residue k = 1, which k > 2 rules out
+        return [], {}, False
     effective = [math.gcd(d, vm1) for d in subdeg] if parabolic else subdeg
     rejections: dict[str, int] = {}
     candidates: list[tuple[DesignParams, dict]] = []
@@ -92,7 +91,7 @@ def _k_search(
     # is factored: a g dividing k_bound is the r-part of that gcd, and a
     # smaller r-part leaves r | m, which skips r.
     residues = [1]
-    for r, e in factorize(math.gcd(k_bound, vm1)).pairs:
+    for r, e in _prime_powers(shared):
         g = r**e
         m = vm1 // g
         if m % r:
@@ -114,14 +113,14 @@ def _k_search(
         ]
         trace = {"square_root": 2 * k - 1, "subdegree_checks": checks}
         candidates.append((DesignParams(v, k, lam), trace))
-    return FeasibilityResult(candidates, rejections)
+    return candidates, rejections, False
 
 
 def feasible_candidates(
     v: int, k_bound: int, subdeg: list[int], p: int, parabolic: bool
 ) -> list[tuple[DesignParams, dict]]:
     """The (k, lambda) candidates surviving constraints (i)-(vi), ascending in k."""
-    return _k_search(v, k_bound, subdeg, p, parabolic).candidates
+    return _k_search(v, k_bound, subdeg, p, parabolic)[0]
 
 
 class CaseOutcome(NamedTuple):

@@ -20,7 +20,8 @@ agreement with ``sieve._k_search`` checks everything past stage 0.
 k-bound, before it factored only gcd(k-bound, v-1), with one modular
 inverse per residue, before the residues became subset sums of CRT
 idempotents; agreement checks the full result, the stage-0 (NO_K_DIVISOR)
-count included.
+count included.  It returns ``FeasibilityResult``, the record ``_k_search``
+returned before it returned the same three fields as a plain tuple.
 
 ``reference_scan_instance`` is ``sieve._scan_instance`` as it read v, the
 k-bound and the cube test |X| <= |Out|^2 * |H0|^3 from separate catalog
@@ -86,7 +87,7 @@ from collections import Counter
 from itertools import permutations, product
 from math import gcd, isqrt
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from psu4designs import catalog, geometry
 from psu4designs.catalog import (
@@ -124,7 +125,6 @@ from psu4designs.sieve import (
     TITS_FAIL,
     UNRESOLVED,
     CaseOutcome,
-    FeasibilityResult,
 )
 from psu4designs.sieve import _k_search
 
@@ -244,6 +244,12 @@ def divisor_scan(v, k_bound, subdeg, p, parabolic):
         ]
         out.append(((v, k, lam), {"square_root": root, "subdegree_checks": checks}))
     return out, dict(rejections)
+
+
+class FeasibilityResult(NamedTuple):
+    candidates: list[tuple[DesignParams, dict]]
+    rejections: dict[str, int]
+    tits_violated: bool = False
 
 
 def reference_k_search(

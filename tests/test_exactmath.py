@@ -43,6 +43,13 @@ def test_factorize_known():
     assert factorize(1440).pairs == ((2, 5), (3, 2), (5, 1))
     assert factorize(1).pairs == ()
     assert factorize(1296).pairs == ((2, 4), (3, 4))
+    # the largest prime below 10^8 passes every trial prime and is taken as
+    # prime without Miller-Rabin; 10007^2 is the least cofactor rho splits
+    assert factorize(99999989).pairs == ((99999989, 1),)
+    assert factorize(2 * 99999989).pairs == ((2, 1), (99999989, 1))
+    assert factorize(9973**2).pairs == ((9973, 2),)
+    assert factorize(10007**2).pairs == ((10007, 2),)
+    assert factorize(10007 * 10009).pairs == ((10007, 1), (10009, 1))
 
 
 def test_factorize_reconstructs_random():

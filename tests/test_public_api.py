@@ -157,8 +157,6 @@ RECORDS = {
     "IncidenceStructure": (_fano, ("v", "blocks")),
     "VerificationFailure": (lambda: designs.VerificationFailure("point_pair", (0, 1)),
                             ("axiom", "witness")),
-    "FeasibilityResult": (lambda: sieve.FeasibilityResult([], {}),
-                          ("candidates", "rejections", "tits_violated")),
     "CaseOutcome": (lambda: sieve.scan_all(2, 1, [8]).outcomes[0],
                     ("line", "q", "v", "k_bound", "status", "reason", "candidates", "rejections",
                      "subfield")),
