@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 __all__ = [
     "PrimePower",
-    "Factorization",
     "is_prime",
     "factorize",
     "is_perfect_square",
@@ -74,7 +73,7 @@ def _pollard_rho(n: int) -> int:
     """A factor 1 < d < n of odd composite n (Floyd's cycle detection).
 
     The addend c is stepped deterministically so repeated runs factor the
-    same input the same way.  ``_prime_powers`` calls it only on cofactors
+    same input the same way.  ``factorize`` calls it only on cofactors
     >= 10^8 with no prime factor below 10^4, so n is never even.
     """
     for c in range(1, 100):
@@ -90,31 +89,17 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-# The package's records are NamedTuples.  A record with checks subclasses a
-# private NamedTuple base, as a NamedTuple body may not define ``__new__``.
-class _Factorization(NamedTuple):
-    pairs: tuple[tuple[int, int], ...]
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Canonical prime factorization of n >= 1: ((p1, e1), (p2, e2), ...)
+    with p1 < p2 < ... and every e >= 1.
 
-
-class Factorization(_Factorization):
-    """Canonical prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
-
-    __slots__ = ()
-
-    def __new__(cls, pairs: tuple[tuple[int, int], ...]) -> Factorization:
-        last = 1
-        for p, e in pairs:
-            if p <= last:
-                raise ValueError("primes must be strictly increasing")
-            if e < 1:
-                raise ValueError("exponents must be >= 1")
-            last = p
-        return super().__new__(cls, pairs)
-
-
-def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
-    """The canonical (p, e) pairs of n >= 1, as in ``factorize`` but with no
-    record built or checked."""
+    Trial division pulls out everything below 10^4; any remaining cofactor
+    is split by Miller-Rabin plus Pollard rho.  The fixed witness set proves
+    primality only below 3.317*10^24; a larger cofactor that passes is a
+    probable prime.
+    """
+    if n < 1:
+        raise ValueError("factorize requires n >= 1")
     pairs = []
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -145,19 +130,6 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs) + tuple(sorted(counts.items()))
 
 
-def factorize(n: int) -> Factorization:
-    """Canonical prime factorization of n >= 1.
-
-    Trial division pulls out everything below 10^4; any remaining cofactor
-    is split by Miller-Rabin plus Pollard rho.  The fixed witness set proves
-    primality only below 3.317*10^24; a larger cofactor that passes is a
-    probable prime.
-    """
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
-    return Factorization(_prime_powers(n))
-
-
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -165,6 +137,8 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+# The package's records are NamedTuples.  A record with checks subclasses a
+# private NamedTuple base, as a NamedTuple body may not define ``__new__``.
 class _DesignParams(NamedTuple):
     v: int
     k: int
@@ -222,8 +196,8 @@ class PrimePower(_PrimePower):
 
     @classmethod
     def from_value(cls, q: int) -> "PrimePower":
-        f = factorize(q)
-        if len(f.pairs) != 1:
+        pairs = factorize(q)
+        if len(pairs) != 1:
             raise ValueError(f"{q} is not a prime power")
-        p, a = f.pairs[0]
+        p, a = pairs[0]
         return cls(q, p, a)

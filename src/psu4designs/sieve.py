@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 from . import catalog
 from .catalog import FIXED_GROUP_LINES, SubgroupCase, case_for
-from .exactmath import DesignParams, PrimePower, _prime_powers, primes_up_to
+from .exactmath import DesignParams, PrimePower, factorize, primes_up_to
 
 __all__ = [
     "CaseOutcome",
@@ -91,7 +91,7 @@ def _k_search(
     # is factored: a g dividing k_bound is the r-part of that gcd, and a
     # smaller r-part leaves r | m, which skips r.
     residues = [1]
-    for r, e in _prime_powers(shared):
+    for r, e in factorize(shared):
         g = r**e
         m = vm1 // g
         if m % r:

@@ -213,7 +213,7 @@ def divisor_scan(v, k_bound, subdeg, p, parabolic):
     vm1 = v - 1
     effective = [gcd(d, vm1) if parabolic else d for d in subdeg]
     divs = [1]
-    for r, e in factorize(k_bound).pairs:
+    for r, e in factorize(k_bound):
         powers = [r**i for i in range(e + 1)]
         divs = [d * pk for d in divs for pk in powers]
     divs.sort()
@@ -270,7 +270,7 @@ def reference_k_search(
     # (v-1)/a) for a product a of such r^e; as 2 < k < v-1, each residue is at
     # most one k.  Only k_bound is factored, never v-1.
     parts = [1]
-    for r, e in factorize(k_bound).pairs:
+    for r, e in factorize(k_bound):
         g = math.gcd(vm1, r**e)
         if g > 1 and (vm1 // g) % r:
             parts += [a * g for a in parts]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from helpers import ReferenceDesignParams, prime_powers_up_to
 from psu4designs.exactmath import (
     DesignParams,
-    Factorization,
     PrimePower,
     factorize,
     gcd,
@@ -40,16 +39,16 @@ def test_is_prime_matches_trial_division():
 
 
 def test_factorize_known():
-    assert factorize(1440).pairs == ((2, 5), (3, 2), (5, 1))
-    assert factorize(1).pairs == ()
-    assert factorize(1296).pairs == ((2, 4), (3, 4))
+    assert factorize(1440) == ((2, 5), (3, 2), (5, 1))
+    assert factorize(1) == ()
+    assert factorize(1296) == ((2, 4), (3, 4))
     # the largest prime below 10^8 passes every trial prime and is taken as
     # prime without Miller-Rabin; 10007^2 is the least cofactor rho splits
-    assert factorize(99999989).pairs == ((99999989, 1),)
-    assert factorize(2 * 99999989).pairs == ((2, 1), (99999989, 1))
-    assert factorize(9973**2).pairs == ((9973, 2),)
-    assert factorize(10007**2).pairs == ((10007, 2),)
-    assert factorize(10007 * 10009).pairs == ((10007, 1), (10009, 1))
+    assert factorize(99999989) == ((99999989, 1),)
+    assert factorize(2 * 99999989) == ((2, 1), (99999989, 1))
+    assert factorize(9973**2) == ((9973, 2),)
+    assert factorize(10007**2) == ((10007, 2),)
+    assert factorize(10007 * 10009) == ((10007, 1), (10009, 1))
 
 
 def test_factorize_reconstructs_random():
@@ -57,9 +56,9 @@ def test_factorize_reconstructs_random():
     for _ in range(200):
         n = rng.randrange(1, 10**12)
         f = factorize(n)
-        assert prod(p**e for p, e in f.pairs) == n
-        assert all(is_prime(p) for p, _ in f.pairs)
-        assert all(e >= 1 for _, e in f.pairs)
+        assert prod(p**e for p, e in f) == n
+        assert all(is_prime(p) for p, _ in f)
+        assert all(e >= 1 for _, e in f)
 
 
 # Any n < 2^64, and products of small factors, so repeated primes are common.
@@ -73,23 +72,23 @@ _FACTORIZE_INPUTS = st.one_of(
 @given(n=_FACTORIZE_INPUTS)
 def test_factorize_property(n):
     f = factorize(n)
-    assert prod(p**e for p, e in f.pairs) == n
-    primes = [p for p, _ in f.pairs]
+    assert prod(p**e for p, e in f) == n
+    primes = [p for p, _ in f]
     assert primes == sorted(set(primes))
-    assert all(is_prime(p) for p in primes) and all(e >= 1 for _, e in f.pairs)
+    assert all(is_prime(p) for p in primes) and all(e >= 1 for _, e in f)
 
 
 def test_factorize_large_semiprime():
     f = factorize(1_000_000_007 * 998_244_353)
-    assert f.pairs == ((998_244_353, 1), (1_000_000_007, 1))
+    assert f == ((998_244_353, 1), (1_000_000_007, 1))
 
 
 def test_factorize_catalog_scale():
     # the shape of a k-bound near the top of the default scan range
     n = 2**7 * 3**5 * 7**2 * 13**18 * 61**2 * 157**2
     f = factorize(n)
-    assert prod(p**e for p, e in f.pairs) == n
-    assert f.pairs == ((2, 7), (3, 5), (7, 2), (13, 18), (61, 2), (157, 2))
+    assert prod(p**e for p, e in f) == n
+    assert f == ((2, 7), (3, 5), (7, 2), (13, 18), (61, 2), (157, 2))
 
 
 def test_perfect_squares():
@@ -129,10 +128,9 @@ def test_prime_power_validation():
 
 
 def test_factorization_validation():
-    with pytest.raises(ValueError):
-        Factorization(((3, 1), (2, 1)))
-    with pytest.raises(ValueError):
-        Factorization(((2, 0),))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="factorize requires n >= 1"):
+            factorize(n)
 
 
 def _params_outcome(make, v, k, lam):

@@ -13,7 +13,7 @@ MODULES = ("exactmath", "catalog", "sieve", "geometry", "designs", "permgroup")
 
 # The exact public surface, sorted, so that every change to it shows here.
 PUBLIC = {
-    "exactmath": ["DesignParams", "Factorization", "PrimePower", "factorize", "is_perfect_square",
+    "exactmath": ["DesignParams", "PrimePower", "factorize", "is_perfect_square",
                   "is_prime", "primes_up_to"],
     "catalog": ["CLOSED_FORM_V", "CatalogError", "LINES", "SubgroupCase", "case_for", "cases_for",
                 "out_order", "socle_order"],
@@ -150,7 +150,6 @@ def _cycle():
 # Each package record: how to make one, and its field names in order.
 RECORDS = {
     "PrimePower": (lambda: exactmath.PrimePower.of(2, 1), ("q", "p", "a")),
-    "Factorization": (lambda: exactmath.factorize(360), ("pairs",)),
     "DesignParams": (lambda: exactmath.DesignParams(36, 15, 6), ("v", "k", "lam")),
     "SubgroupCase": (lambda: catalog.cases_for(exactmath.PrimePower.of(2, 1))[0],
                      ("line", "subfield")),
@@ -197,16 +196,13 @@ def test_subgroup_case_parabolic_is_derived():
     (lambda: designs.IncidenceStructure(3, ((-1, 0),)), "block 0 has an out-of-range point index"),
     (lambda: designs.IncidenceStructure(3, ((0, 2), (2, 1))), "block 1 is not strictly sorted"),
     (lambda: designs.IncidenceStructure(3, ((1, 1),)), "block 0 is not strictly sorted"),
-    (lambda: exactmath.Factorization(((3, 1), (2, 1))), "primes must be strictly increasing"),
-    (lambda: exactmath.Factorization(((2, 0),)), "exponents must be >= 1"),
     (lambda: exactmath.DesignParams(36, 15, 7), r"k\(k-1\) = lambda\(v-1\) fails for \(36, 15, 7\)"),
     (lambda: exactmath.PrimePower(4, 2, 0), "exponent must be >= 1"),
     (lambda: exactmath.PrimePower(8, 2, 2), r"8 != 2\^2"),
     (lambda: permgroup.PermutationAction(3, ((0, 0, 1),)), "not a permutation of 0..n-1"),
 ], ids=[
     "incidence-range", "incidence-negative", "incidence-order", "incidence-repeat",
-    "factorization-order", "factorization-exponent", "design-params", "prime-power-exponent",
-    "prime-power-value", "permutation-action",
+    "design-params", "prime-power-exponent", "prime-power-value", "permutation-action",
 ])
 def test_record_checks(make, message):
     """Constructing a record runs its checks, with their messages."""

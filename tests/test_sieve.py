@@ -367,8 +367,8 @@ def test_k_search_factors_only_trial_proven_numbers(monkeypatch):
     _TRIAL_LIMIT**2, so trial division alone proves its prime factors.  A
     gcd(k-bound, v-1) of 1 is never factored: 25 of the 165 searched cases
     have one."""
-    prime_powers, factored = sieve._prime_powers, []
-    monkeypatch.setattr(sieve, "_prime_powers", lambda n: factored.append(n) or prime_powers(n))
+    factorize, factored = sieve.factorize, []
+    monkeypatch.setattr(sieve, "factorize", lambda n: factored.append(n) or factorize(n))
     scan_all(13, 3)
     assert len(factored) == 140
     assert 1 not in factored
@@ -398,8 +398,8 @@ def test_k_search_factors_only_miller_rabin_proven_numbers(monkeypatch):
     """Every number the k-search factors over the byte-identity ranges is
     below the bound up to which is_prime's Miller-Rabin is proven, so no
     factor it reports is only probably prime.  The largest is at (60, 4)."""
-    prime_powers, factored = sieve._prime_powers, []
-    monkeypatch.setattr(sieve, "_prime_powers", lambda n: factored.append(n) or prime_powers(n))
+    factorize, factored = sieve.factorize, []
+    monkeypatch.setattr(sieve, "factorize", lambda n: factored.append(n) or factorize(n))
     largest = {}
     for p_max, a_max in BYTE_IDENTITY_RANGES:
         factored.clear()
