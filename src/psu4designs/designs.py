@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import add, mul
-from struct import calcsize
-from sys import byteorder
+from struct import Struct
 from typing import NamedTuple, Optional, Union
 
 from . import geometry
@@ -175,23 +174,41 @@ def is_isomorphism(
 # triple counts against the anchor set picked so far, which discretises
 # the colouring after two or three anchors.
 #
-# The profiles are read from packed integers rather than counted pair by
-# pair.  Each block becomes one big int whose field (y, z) of a v x v
-# matrix is 1 when y and z both lie in the block; summed over the blocks
-# through x, field (y, z) is |B(x) & B(y) & B(z)|.  A field must hold the
-# largest replication number, so its width comes from the input, never a
-# fixed byte: with one-byte fields, 300 copies of a block read as 44.  The
-# b block products are kept for the whole call, b * v^2 fields.
+# The profiles are counted per value, not sorted pair by pair.  Write
+# M(x, y, z) = |B(x) & B(y) & B(z)|, which is symmetric in its three points.
+# Pair (y, z)'s histogram counts, for each value t, the points w with
+# M(w, y, z) = t, and by the symmetry these are the points x with
+# M(x, y, z) = t.  So summing over x the 0/1 indicator of M(x, ., .) == t
+# gives, at (y, z), the count of t in that histogram, for every pair at once.
+#
+# Each block becomes one big int with a field per pair y < z, 1 when y and
+# z both lie in the block; summed over the blocks through x, field (y, z)
+# is M(x, y, z).  bytes.translate maps each byte to the bits of the (up to
+# 8) values that byte matches, one bit per value; a field matches a value
+# when all of its bytes do, and the matching bit, shifted down and masked,
+# is that value's indicator, added into its count int.  A field holds a
+# triple count in the sums and a count of points in the count ints, so its
+# width comes from the larger of the largest replication number and v,
+# never a fixed byte: with one-byte fields, 300 copies of a block read as
+# 44, and at v = 260 a count of 258 reads as 2.  A pair's lambda and counts
+# become one bytes key, and the (lambda, sorted histogram) profile is built
+# once per distinct key.  Values are collected as they appear: a value
+# first met at x occurs at no earlier x, so its count starts at 0.  Only
+# the triangle y < z is held.  No profile reads the diagonal fields it
+# leaves out, and every value it holds is in a profile: M(x, y, z) is in
+# pair (y, z)'s, as its lambda or in its histogram.
 #
 # Each design's profiles come back as an int code matrix and the list of
 # the distinct profiles, so the two designs are matched on their few
 # distinct profiles, not on v^2 nested tuples.  The edge ids rank d1's
-# profiles, and d2's profiles are read against that ranking: the first
-# profile of d2 that d1 lacks ends the search with None, before the rest
-# of d2's pairs are read.  The root refinement would reject it anyway,
-# because the points of d2 on such a pair have a code that no point of d1
-# has.  Otherwise d2's profiles are among d1's, the ranks are the ranks
-# over both designs, and the search runs on the same edge ids.
+# profiles, and d2's profiles are read against that ranking.  d2 is given
+# up, with None, once it shows a profile that d1 lacks: at the first triple
+# count that no profile of d1 holds, before the rest of d2's sums are
+# made, or else at the first unknown profile.  The root refinement would
+# reject it anyway, because the points of d2 on such a pair have a code
+# that no point of d1 has.  Otherwise d2's profiles are among d1's, the
+# ranks are the ranks over both designs, and the search runs on the same
+# edge ids.
 # ---------------------------------------------------------------------------
 
 
@@ -202,13 +219,15 @@ def _pair_profiles(
 
     Code c at (x, y) stands for keys[c], the pair (lambda_xy, sorted
     histogram of the triple counts over z != x, y).  The diagonal is code 0,
-    whose key (-1, ()) sorts below any real profile.  Given known, returns
-    None at the first profile that is not among its keys.
+    whose key (-1, ()) sorts below any real profile.  Codes are numbered in
+    order of first appearance over the pairs x < y, row by row.  Given
+    known, returns None as soon as a profile is seen not to be among its
+    keys.
 
-    Memory: the b outer products are held at once, b * v^2 fields of the
-    smallest of 1, 2, 4, 8 bytes that holds the largest replication number
-    (91 kB for b = v = 45); building them per x instead gives back most of
-    the speed.
+    Memory: the b block ints are held at once, b * v(v-1)/2 fields of the
+    smallest of 1, 2, 4, 8 bytes that holds both v and the largest
+    replication number (45 kB for b = v = 45), with one count int of that
+    size per distinct triple count and, at the end, one bytes key per pair.
     """
     n = design.v
     through: list[list[int]] = [[] for _ in range(n)]
@@ -216,40 +235,81 @@ def _pair_profiles(
         for i in block:
             through[i].append(b)
     most = max(map(len, through), default=0)
-    fmt = next(f for f in "BHIQ" if most < 1 << 8 * calcsize(f))
-    size = calcsize(fmt)
-    cols = [1 << 8 * size * z for z in range(n)]
-    rows = [1 << 8 * size * n * y for y in range(n)]
-    outer = [
-        sum(map(rows.__getitem__, block)) * sum(map(cols.__getitem__, block))
-        for block in design.blocks
-    ]
-    memo: dict[tuple, int] = {}
-    keys: list[tuple] = [(-1, ())]
-    codes = [[0] * n for _ in range(n)]
+    # a field holds a triple count, at most most, and a count of points, at
+    # most n; the sizes are struct's standard ones, read with "<" formats
+    fmt, size = next(
+        (f, s) for f, s in zip("BHIQ", (1, 2, 4, 8)) if max(most, n) < 1 << 8 * s
+    )
+    pairs = n * (n - 1) // 2
+    span = size * pairs
+    # row y of the triangle holds the fields (y, z), z > y
+    starts = [size * (y * n - y * (y + 1) // 2) for y in range(n + 1)]
+    blocks = []
+    for block in design.blocks:
+        col = bytearray(size * n)
+        for z in block:
+            col[size * z] = 1
+        triangle = bytearray(span)
+        for y in block:
+            triangle[starts[y]:starts[y + 1]] = col[size * (y + 1):]
+        blocks.append(int.from_bytes(triangle, "little"))
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * pairs, "little")
+    allowed = None
+    if known is not None:
+        allowed = {lam for lam, _ in known} | {t for _, hist in known for t, _ in hist}
+    values: list[int] = []
+    # per group of up to 8 values, a translate table per byte of a field
+    tables: list[list[bytearray]] = []
+    counts: list[list[int]] = []
+    lams = bytearray()
     for x in range(n):
-        triples = sum(map(outer.__getitem__, through[x])).to_bytes(size * n * n, byteorder)
-        fields = memoryview(triples).cast(fmt)
-        codes_x = codes[x]
-        for y in range(x + 1, n):
-            # row y of x's matrix: fields x and y are lambda_xy itself, the
-            # two entries the histogram leaves out
-            row = fields[y * n:(y + 1) * n]
-            lam = row[x]
-            seen = (lam, tuple(sorted(row)))
-            code = memo.get(seen)
-            if code is None:
-                hist = Counter(row)
-                hist[lam] -= 2
-                if not hist[lam]:
-                    del hist[lam]
-                key = (lam, tuple(sorted(hist.items())))
-                if known is not None and key not in known:
-                    return None
-                code = memo[seen] = len(keys)
-                keys.append(key)
-            codes_x[y] = codes[y][x] = code
-    return codes, keys
+        triples = sum(map(blocks.__getitem__, through[x])).to_bytes(span, "little")
+        lams += triples[starts[x]:starts[x + 1]]
+        if most < 256:
+            new = set(triples[::size].translate(None, bytes(values)))
+        else:
+            new = set(Struct(f"<{pairs}{fmt}").unpack(triples)).difference(values)
+        if allowed is not None and not new <= allowed:
+            return None
+        for t in new:
+            if len(values) % 8 == 0:
+                tables.append([bytearray(256) for _ in range(size)])
+                counts.append([])
+            for j, table in enumerate(tables[-1]):
+                table[t >> 8 * j & 255] |= 1 << len(counts[-1])
+            counts[-1].append(0)
+            values.append(t)
+        for group_tables, group in zip(tables, counts):
+            bits = -1
+            for j, table in enumerate(group_tables):
+                bits &= int.from_bytes(triples.translate(table), "little") >> 8 * j
+            for i in range(len(group)):
+                group[i] += bits >> i & ones
+    # field j of a key is lambda for j = 0, else the count of values[j - 1]
+    width = size * (len(values) + 1)
+    fields = bytearray(width * pairs)
+    planes = [lams] + [c.to_bytes(span, "little") for group in counts for c in group]
+    for j, plane in enumerate(planes):
+        for r in range(size):
+            fields[size * j + r::width] = plane[r::size]
+    seen = Struct(f"{width}s" * pairs).unpack(fields)
+    memo = dict.fromkeys(seen)
+    keys: list[tuple] = [(-1, ())]
+    unpack = Struct(f"<{len(values) + 1}{fmt}").unpack
+    for pair in memo:
+        lam, *tally = unpack(pair)
+        hist = {t: c for t, c in zip(values, tally) if c}
+        hist[lam] -= 2
+        if not hist[lam]:
+            del hist[lam]
+        key = (lam, tuple(sorted(hist.items())))
+        if known is not None and key not in known:
+            return None
+        memo[pair] = len(keys)
+        keys.append(key)
+    row_codes = list(map(memo.__getitem__, seen))
+    upper = [[0] * (y + 1) + row_codes[starts[y] // size:starts[y + 1] // size] for y in range(n)]
+    return [list(map(add, row, col)) for row, col in zip(upper, zip(*upper))], keys
 
 
 def _edge_codes(

@@ -42,6 +42,10 @@ profiles and the refinement as ``designs`` computed them from point masks
 and (edge id, colour) tuples, before packed triple-count rows and integer
 codes; ``reference_find_isomorphism`` runs the search on them, so
 agreement checks the profiles, the colour ids and the witness.
+``ReferenceIsoSearch`` inherits nothing from ``designs._IsoSearch``: its
+renumbering, individualisation, branching and witness extraction are
+copies of ``_IsoSearch``'s as they stood when the pair profiles were first
+counted per value, so a change to the live search cannot change the oracle.
 
 ``CounterRefineIsoSearch`` is the search as it refined before colour
 classes were keyed by sorted code tuples: it counts every point's
@@ -368,9 +372,10 @@ def reference_pair_profiles(design: IncidenceStructure) -> list[list[tuple]]:
     return prof
 
 
-class ReferenceIsoSearch(_IsoSearch):
-    """The search with the reference profiles and refinement; individualisation,
-    branching and witness extraction are inherited."""
+class ReferenceIsoSearch:
+    """The search with the reference profiles and refinement, and its own
+    copies of renumbering, individualisation, branching and witness
+    extraction."""
 
     def __init__(self, d1: IncidenceStructure, d2: IncidenceStructure) -> None:
         self.n = d1.v
@@ -409,6 +414,74 @@ class ReferenceIsoSearch(_IsoSearch):
             if len(set(new1)) == len(set(col1)):
                 return new1, new2
             col1, col2 = new1, new2
+
+    def _renumber(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
+        if sorted(sig1) != sorted(sig2):
+            return None
+        ids = {s: i for i, s in enumerate(sorted(set(sig1)))}
+        return [ids[s] for s in sig1], [ids[s] for s in sig2]
+
+    def _individualize(
+        self,
+        col1: list[int],
+        col2: list[int],
+        anchors1: tuple[int, ...],
+        anchors2: tuple[int, ...],
+        x: int,
+        y: int,
+    ) -> Optional[tuple[list[int], list[int]]]:
+        # anchor-triple refinement: colour every z by its triple counts
+        # with (a, x) over all previous anchors a
+        n = self.n
+        m1, m2 = self.masks1, self.masks2
+        mx, my = m1[x], m2[y]
+        sig1 = [
+            (col1[z], z == x,
+             tuple((m1[a] & mx & m1[z]).bit_count() for a in anchors1))
+            for z in range(n)
+        ]
+        sig2 = [
+            (col2[z], z == y,
+             tuple((m2[b] & my & m2[z]).bit_count() for b in anchors2))
+            for z in range(n)
+        ]
+        renumbered = self._renumber(sig1, sig2)
+        if renumbered is None:
+            return None
+        return self._refine(*renumbered)
+
+    def _extract(self, col1: list[int], col2: list[int]) -> Optional[list[int]]:
+        image = {}
+        for y in range(self.n):
+            image[col2[y]] = y
+        perm = [image[c] for c in col1]
+        return perm if is_isomorphism(self.d1, self.d2, perm) else None
+
+    def search(
+        self,
+        col1: list[int],
+        col2: list[int],
+        anchors1: tuple[int, ...] = (),
+        anchors2: tuple[int, ...] = (),
+    ) -> Optional[list[int]]:
+        counts = Counter(col1)
+        split = [c for c in counts if counts[c] > 1]
+        if not split:
+            return self._extract(col1, col2)
+        target = min(split, key=lambda c: (counts[c], c))
+        x = col1.index(target)
+        for y in range(self.n):
+            if col2[y] != target:
+                continue
+            refined = self._individualize(col1, col2, anchors1, anchors2, x, y)
+            if refined is None:
+                continue
+            found = self.search(
+                refined[0], refined[1], anchors1 + (x,), anchors2 + (y,)
+            )
+            if found is not None:
+                return found
+        return None
 
 
 def brute_force_isomorphic(d1, d2):

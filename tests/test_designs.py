@@ -336,10 +336,27 @@ def _random_structure(rng):
     return IncidenceStructure(v, tuple(blocks))
 
 
+def _dense_structure(rng, v=24):
+    """Many blocks of about half the points: the triple counts take more
+    than 8 distinct values, so more than one group of 8 is counted."""
+    return IncidenceStructure(v, tuple(
+        tuple(sorted(rng.sample(range(v), rng.randint(v // 3, 2 * v // 3))))
+        for _ in range(rng.randint(v, 2 * v))
+    ))
+
+
 def test_pair_profiles_match_reference(built):
     cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
     rng = random.Random(2024)
     cases += [_random_structure(rng) for _ in range(200)]
+    dense = [_dense_structure(rng) for _ in range(4)]
+    for d in dense:
+        keys = _pair_profiles(d)[1]
+        assert len({t for lam, hist in keys[1:] for t in (lam, *dict(hist))}) > 8
+    cases += dense
+    # points 0-2 on 255 and 256 blocks: the last replication number that fits
+    # a byte, and the first that does not
+    cases += [IncidenceStructure(5, ((0, 1, 2),) * r + ((3, 4),)) for r in (255, 256)]
     # 300 blocks through points 0-2: a one-byte field would read 300 as 44
     cases.append(IncidenceStructure(5, ((0, 1, 2),) * 300 + ((3, 4),)))
     for d in cases:
@@ -348,6 +365,23 @@ def test_pair_profiles_match_reference(built):
         assert [[keys[c] for c in row] for row in codes] == reference_pair_profiles(d), d
     codes, keys = _pair_profiles(cases[-1])
     assert keys[codes[0][1]] == (300, ((0, 2), (300, 1)))
+    # v = 260, all points on one block: a pair off the three small blocks has
+    # 258 third points of triple count 1, which a one-byte count field would
+    # wrap; a few pairs against direct popcounts
+    v = 260
+    small = [tuple(sorted(rng.sample(range(v), 3))) for _ in range(3)]
+    d = IncidenceStructure(v, (tuple(range(v)), *small))
+    codes, keys = _pair_profiles(d)
+    masks = d.point_masks()
+    largest = 0
+    for y, z in [(0, 1), (17, 259), (258, 259), small[0][:2], small[1][1:], small[2][::2]]:
+        common = masks[y] & masks[z]
+        hist = Counter((common & masks[w]).bit_count() for w in range(v) if w not in (y, z))
+        assert keys[codes[y][z]] == keys[codes[z][y]] == (
+            common.bit_count(), tuple(sorted(hist.items()))
+        ), (y, z)
+        largest = max(largest, *hist.values())
+    assert largest > 255
 
 
 def test_pair_profiles_against_known_keys(built):
@@ -359,6 +393,11 @@ def test_pair_profiles_against_known_keys(built):
     for _ in range(150):
         d = _random_replicated_structure(rng)
         pairs += [(d, relabel(d, rng.sample(range(d.v), d.v))), (d, _same_block_sizes(rng, d))]
+    for _ in range(4):
+        d = _dense_structure(rng)
+        pairs += [(d, relabel(d, rng.sample(range(d.v), d.v))), (d, _same_block_sizes(rng, d))]
+    wide = [IncidenceStructure(5, ((0, 1, 2),) * r + ((3, 4),)) for r in (255, 256)]
+    pairs += [(wide[0], wide[1]), (wide[1], wide[0]), (wide[1], relabel(wide[1], [4, 2, 0, 3, 1]))]
     stopped = 0
     for d1, d2 in pairs:
         known = dict.fromkeys(_pair_profiles(d1)[1], 0)
