@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, designs
 from .designs import DesignFormatError
-from .exactmath import DesignParams, primes_up_to
+from .exactmath import primes_up_to
 
 if TYPE_CHECKING:
     from .sieve import CaseOutcome
@@ -131,10 +131,6 @@ def _outcome_json(oc: CaseOutcome) -> dict:
     return entry
 
 
-def _candidate_str(params: DesignParams, trace: dict) -> str:
-    return f"{params} [{trace['classification']}]"
-
-
 def cmd_sieve(args: argparse.Namespace) -> int:
     from . import sieve
 
@@ -152,7 +148,9 @@ def cmd_sieve(args: argparse.Namespace) -> int:
         if oc.reason:
             extra = f" [{oc.reason}]"
         if oc.candidates:
-            extra = "  " + "; ".join(_candidate_str(p, t) for p, t in oc.candidates)
+            extra = "  " + "; ".join(
+                f"{p} [{t['classification']}]" for p, t in oc.candidates
+            )
         sub = f" q0={oc.subfield[0].q}" if oc.subfield else ""
         _print(f"line {oc.line:>2} q={oc.q.q:<6}{sub} v={oc.v:<24} {oc.status}{extra}")
     _print()
@@ -256,14 +254,11 @@ def _read_design(path: str) -> designs.IncidenceStructure:
     try:
         return designs.read_design(path)
     except OSError as exc:
-        raise SystemExit(_fail(f"error: cannot read {path}: {exc}", EXIT_IO))
+        _print(f"error: cannot read {path}: {exc}")
+        raise SystemExit(EXIT_IO)
     except DesignFormatError as exc:
-        raise SystemExit(_fail(f"error: {path}: {exc}", EXIT_USAGE))
-
-
-def _fail(message: str, code: int) -> int:
-    _print(message)
-    return code
+        _print(f"error: {path}: {exc}")
+        raise SystemExit(EXIT_USAGE)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

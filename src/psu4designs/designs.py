@@ -16,6 +16,7 @@ makes the polarity explicit and the incidence matrix symmetric;
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from operator import add, mul
 from struct import Struct
 from typing import NamedTuple, Optional, Union
@@ -201,29 +202,24 @@ def is_isomorphism(
 # it leaves out, and every value it holds is in a profile: M(x, y, z) is
 # in pair (y, z)'s, as its lambda or in its histogram.
 #
-# Each design's profiles come back as an int code matrix and the list of
-# the distinct profiles, so the two designs are matched on their few
-# distinct profiles, not on v^2 nested tuples.  The edge ids rank d1's
-# profiles, and d2's profiles are read against that ranking.  d2 is given
-# up, with None, at its first profile that d1 lacks.  The root refinement
-# would reject it anyway, because the points of d2 on such a pair have a
-# code that no point of d1 has.  Otherwise d2's profiles are among d1's,
-# the ranks are the ranks over both designs, and the search runs on the
-# same edge ids.
+# Each design's profiles come back as the codes of its pairs x < y and the
+# list of its distinct profiles, so the two designs are matched on their
+# few distinct profiles, not on v^2 nested tuples.  _edge_codes ranks d1's
+# profiles from 1, leaving id 0 to the diagonal, and is the one place d2 is
+# given up before the search: with None, when d2 has a profile that d1
+# lacks.  The root refinement would reject it anyway, because the points of
+# d2 on such a pair have a code that no point of d1 has.  Otherwise d2's
+# profiles are among d1's, the ranks are the ranks over both designs, and
+# only then is each design's symmetric matrix built, once, from its codes.
 # ---------------------------------------------------------------------------
 
 
-def _pair_profiles(
-    design: IncidenceStructure, known: Optional[dict[tuple, int]] = None
-) -> Optional[tuple[list[list[int]], list[tuple]]]:
-    """The pair profiles as a v x v code matrix and the profiles it indexes.
+def _pair_profiles(design: IncidenceStructure) -> tuple[list[int], list[tuple]]:
+    """The codes of the pairs x < y, row by row, and the profiles they index.
 
-    Code c at (x, y) stands for keys[c], the pair (lambda_xy, sorted
-    histogram of the triple counts over z != x, y).  The diagonal is code 0,
-    whose key (-1, ()) sorts below any real profile.  Codes are numbered in
-    order of first appearance over the pairs x < y, row by row.  Given
-    known, returns None as soon as a profile is seen not to be among its
-    keys.
+    Code c of pair (x, y) stands for keys[c], the pair (lambda_xy, sorted
+    histogram of the triple counts over z != x, y).  Codes are numbered in
+    order of first appearance.
 
     Memory: the b block ints are held at once, b * v(v-1)/2 fields of the
     smallest of 1, 2, 4, 8 bytes that holds both v and the largest
@@ -290,7 +286,7 @@ def _pair_profiles(
             fields[size * j + r::width] = plane[r::size]
     seen = Struct(f"{width}s" * pairs).unpack(fields)
     memo = dict.fromkeys(seen)
-    keys: list[tuple] = [(-1, ())]
+    keys: list[tuple] = []
     unpack = Struct(f"<{len(values) + 1}{fmt}").unpack
     for pair in memo:
         lam, *tally = unpack(pair)
@@ -298,34 +294,33 @@ def _pair_profiles(
         hist[lam] -= 2
         if not hist[lam]:
             del hist[lam]
-        key = (lam, tuple(sorted(hist.items())))
-        if known is not None and key not in known:
-            return None
         memo[pair] = len(keys)
-        keys.append(key)
-    row_codes = list(map(memo.__getitem__, seen))
-    upper = [[0] * (y + 1) + row_codes[starts[y] // size:starts[y + 1] // size] for y in range(n)]
-    return [list(map(add, row, col)) for row, col in zip(upper, zip(*upper))], keys
+        keys.append((lam, tuple(sorted(hist.items()))))
+    return list(map(memo.__getitem__, seen)), keys
 
 
 def _edge_codes(
     d1: IncidenceStructure, d2: IncidenceStructure
 ) -> Optional[tuple[list[list[int]], list[list[int]]]]:
-    """Per design, e * v at (x, y), e the rank of the pair's profile among
-    d1's profiles; None when d2 has a profile that d1 lacks."""
+    """Per design, the v x v matrix of e * v at (x, y), e the rank of the
+    pair's profile among d1's profiles counted from 1, and 0 on the
+    diagonal, built once from the design's pair codes.  This is the one
+    place d2 is rejected before the search: None, before any matrix is
+    built, when d2 has a profile that d1 lacks."""
     n = d1.v
     codes1, keys1 = _pair_profiles(d1)
-    rank = {k: i * n for i, k in enumerate(sorted(keys1))}
-    second = _pair_profiles(d2, rank)
-    if second is None:
+    codes2, keys2 = _pair_profiles(d2)
+    rank = {k: i * n for i, k in enumerate(sorted(keys1), 1)}
+    if not rank.keys() >= set(keys2):
         return None
-    codes2, keys2 = second
 
-    def scaled(codes: list[list[int]], keys: list[tuple]) -> list[list[int]]:
+    def matrix(codes: list[int], keys: list[tuple]) -> list[list[int]]:
         en = list(map(rank.__getitem__, keys))
-        return [list(map(en.__getitem__, row)) for row in codes]
+        pairs = iter(map(en.__getitem__, codes))  # row y holds n - 1 - y pairs
+        upper = [[0] * (y + 1) + list(islice(pairs, n - 1 - y)) for y in range(n)]
+        return [list(map(add, row, col)) for row, col in zip(upper, zip(*upper))]
 
-    return scaled(codes1, keys1), scaled(codes2, keys2)
+    return matrix(codes1, keys1), matrix(codes2, keys2)
 
 
 class _IsoSearch:
@@ -358,7 +353,7 @@ class _IsoSearch:
         # A point's signature is the multiset of codes e * n + c over all y,
         # e the edge id of (x, y) and c the colour of y.  As c < n, the codes
         # order exactly as the (e, c) pairs.  Id 0 is the diagonal's alone
-        # (its (-1, ()) sorts below every real profile), so y = x adds the
+        # (_edge_codes ranks the real profiles from 1), so y = x adds the
         # leading item (col[x], 1) and nothing else: two signatures are equal,
         # and sort, as the pairs (col[x], {(e, c) over y != x}) do.
         # Points are grouped by their sorted code tuple, which determines the

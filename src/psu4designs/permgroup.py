@@ -153,50 +153,35 @@ def orbit(action: PermutationAction, seed: int) -> set[int]:
     return _closure(action.generators, seed)
 
 
-def _orbit_transversal(
-    gens: Sequence[Permutation], beta: int, n: int
-) -> dict[int, Permutation]:
-    """Orbit of beta with coset representatives t_a satisfying t_a[beta] = a."""
-    transversal = {beta: identity_perm(n)}
-    queue = [beta]
-    while queue:
-        a = queue.pop(0)
-        ta = transversal[a]
+def _stabilizer(
+    gens: Sequence[Permutation], point: int, n: int
+) -> tuple[dict[int, Permutation], list[Permutation]]:
+    """The transversal of the point's orbit, with t_a[point] = a, and the
+    sorted, deduplicated nontrivial Schreier generators t_{g(a)}^-1 t_a g of
+    its stabilizer (Seress, Permutation Group Algorithms, 2003, 4.1)."""
+    ident = identity_perm(n)
+    trans = {point: ident}
+    queue = [point]
+    for a in queue:  # breadth first: the queue grows as the loop reads it
+        ta = trans[a]
         for g in gens:
             b = g[a]
-            if b not in transversal:
-                transversal[b] = compose(ta, g)
+            if b not in trans:
+                trans[b] = compose(ta, g)
                 queue.append(b)
-    return transversal
-
-
-def _schreier_generators(
-    gens: Sequence[Permutation], transversal: dict[int, Permutation]
-) -> list[Permutation]:
-    """Deduplicated nontrivial Schreier generators of the point stabilizer."""
-    ident = identity_perm(len(next(iter(transversal.values()))))
-    if len(ident) < 2:
-        return []  # the only permutation of degree 0 or 1 is the identity
-    inv = {b: inverse(t) for b, t in transversal.items()}
+    if n < 2:
+        return trans, []  # the only permutation of degree 0 or 1 is the identity
+    inv = {b: inverse(t) for b, t in trans.items()}
     out = set()
-    for a in sorted(transversal):
+    for a, t in trans.items():
         # ta(g) is compose(t_a, g); picking its images out of inv[g[a]]
         # applies t_{g(a)}^-1 after it
-        ta = itemgetter(*transversal[a])
+        ta = itemgetter(*t)
         for g in gens:
             s = itemgetter(*ta(g))(inv[g[a]])
             if s != ident:
                 out.add(s)
-    return sorted(out)
-
-
-def _stabilizer(
-    gens: Sequence[Permutation], point: int, n: int
-) -> tuple[dict[int, Permutation], list[Permutation]]:
-    """The transversal of the point's orbit and the Schreier generators of
-    its stabilizer."""
-    trans = _orbit_transversal(gens, point, n)
-    return trans, _schreier_generators(gens, trans)
+    return trans, sorted(out)
 
 
 class StabilizerChain(NamedTuple):
@@ -211,7 +196,8 @@ def stabilizer_chain(action: PermutationAction) -> StabilizerChain:
     n = action.degree
     if n > 10_000:
         raise ValueError("degree beyond the desk-scale guard (10^4)")
-    gens = sorted({g for g in action.generators if g != identity_perm(n)})
+    ident = identity_perm(n)
+    gens = sorted({g for g in action.generators if g != ident})
     base = []
     transversals = []
     order = 1

@@ -65,6 +65,10 @@ def test_line7_double_decomposition_needs_disambiguation():
         case_for(7, q)
     chosen = case_for(7, q, (PrimePower.of(2, 3), 5))
     assert chosen.subfield[1] == 5
+    with pytest.raises(ValueError, match="line 5 is not applicable at q=2"):
+        case_for(5, Q2)
+    with pytest.raises(ValueError, match="line 7 at q=8 has no decomposition"):
+        case_for(7, Q8, (Q2, 5))
 
 
 def test_point_counts():

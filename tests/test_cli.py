@@ -267,6 +267,9 @@ def test_verify_violation_exit_1(tmp_path, capsys):
     code, out = run(capsys, "verify", str(path))
     assert code == 1
     assert "not a symmetric design" in out
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    code, out = run(capsys, "verify", str(path))
+    assert (code, out) == (1, "not a symmetric design: nontriviality violated at (3,)\n")
 
 
 def test_verify_parse_error_exit_2(tmp_path, capsys):
@@ -276,6 +279,9 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
         code, out = run(capsys, "verify", str(path))
         assert code == 2
         assert "line 2" in out
+    path.write_text("0 0\n")
+    code, out = run(capsys, "verify", str(path))
+    assert (code, out) == (2, f"error: {path}: line 1: bad sizes v=0 b=0\n")
 
 
 @pytest.mark.parametrize("blob, lineno", [(b"\xff\xfe\n", 1), (b"3 1\n0 \xff\n", 2)])

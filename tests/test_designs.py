@@ -108,6 +108,8 @@ def test_verify_rejects_trivial():
     result = verify_symmetric(full)
     assert isinstance(result, VerificationFailure)
     assert result.axiom == "nontriviality"
+    small = IncidenceStructure(3, ((0, 1), (1, 2), (0, 2)))
+    assert verify_symmetric(small) == VerificationFailure("nontriviality", (3,))
 
 
 def test_verify_rejects_block_count():
@@ -253,6 +255,7 @@ def test_file_roundtrip(tmp_path, built):
         ("12 1\n+0 1_1\n", 2),
         ("3 1\n-0 1\n", 2),
         ("3 1\n0 \u0661\n", 2),
+        ("0 0\n", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
@@ -361,10 +364,13 @@ def test_pair_profiles_match_reference(built):
     cases.append(IncidenceStructure(5, ((0, 1, 2),) * 300 + ((3, 4),)))
     for d in cases:
         codes, keys = _pair_profiles(d)
-        assert keys[0] == (-1, ()) and len(set(keys)) == len(keys)
-        assert [[keys[c] for c in row] for row in codes] == reference_pair_profiles(d), d
+        # codes count up in order of first appearance, one per distinct profile
+        assert list(dict.fromkeys(codes)) == list(range(len(keys)))
+        assert len(set(keys)) == len(keys)
+        upper = [k for x, row in enumerate(reference_pair_profiles(d)) for k in row[x + 1:]]
+        assert [keys[c] for c in codes] == upper, d
     codes, keys = _pair_profiles(cases[-1])
-    assert keys[codes[0][1]] == (300, ((0, 2), (300, 1)))
+    assert keys[codes[0]] == (300, ((0, 2), (300, 1)))
     # v = 260, all points on one block: a pair off the three small blocks has
     # 258 third points of triple count 1, which a one-byte count field would
     # wrap; a few pairs against direct popcounts
@@ -377,7 +383,8 @@ def test_pair_profiles_match_reference(built):
     for y, z in [(0, 1), (17, 259), (258, 259), small[0][:2], small[1][1:], small[2][::2]]:
         common = masks[y] & masks[z]
         hist = Counter((common & masks[w]).bit_count() for w in range(v) if w not in (y, z))
-        assert keys[codes[y][z]] == keys[codes[z][y]] == (
+        # pair y < z follows the pairs of rows 0..y-1 and the y+1..z-1 of row y
+        assert keys[codes[y * v - y * (y + 1) // 2 + z - y - 1]] == (
             common.bit_count(), tuple(sorted(hist.items()))
         ), (y, z)
         largest = max(largest, *hist.values())
@@ -385,8 +392,9 @@ def test_pair_profiles_match_reference(built):
 
 
 def test_pair_profiles_against_known_keys(built):
-    """Read against another structure's ranking, the profiles are the full
-    ones when all of their keys are known, and None otherwise."""
+    """_edge_codes returns None exactly when d2 has a profile that d1 lacks,
+    and otherwise the matrices of d1's profile ranks times v, read from
+    the full reference profiles (the diagonal's (-1, ()) ranks 0)."""
     rng = random.Random(5151)
     cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
     pairs = [(d1, d2) for d1 in cases for d2 in cases if d1.v == d2.v]
@@ -400,11 +408,12 @@ def test_pair_profiles_against_known_keys(built):
     pairs += [(wide[0], wide[1]), (wide[1], wide[0]), (wide[1], relabel(wide[1], [4, 2, 0, 3, 1]))]
     stopped = 0
     for d1, d2 in pairs:
-        known = dict.fromkeys(_pair_profiles(d1)[1], 0)
-        full = _pair_profiles(d2)
-        got = _pair_profiles(d2, known)
-        if known.keys() >= set(full[1]):
-            assert got == full
+        prof1, prof2 = reference_pair_profiles(d1), reference_pair_profiles(d2)
+        keys1 = {k for row in prof1 for k in row}
+        got = _edge_codes(d1, d2)
+        if keys1 >= {k for row in prof2 for k in row}:
+            rank = {k: i * d1.v for i, k in enumerate(sorted(keys1))}
+            assert got == tuple([[rank[k] for k in row] for row in prof] for prof in (prof1, prof2))
         else:
             assert got is None
             stopped += 1
@@ -524,6 +533,13 @@ def test_search_agrees_with_brute_force_on_irregular_structures():
             assert got is None or is_isomorphism(d, other, got)
             answers[want] += 1
     assert answers[True] >= 300 and answers[False] >= 100, answers
+    # C6 against two triangles: equal block sizes, replication numbers and
+    # profiles, so the search runs; the root refinement stalls and every
+    # level-1 branch fails, so it ends at its final None
+    c6 = IncidenceStructure(6, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)))
+    triangles = IncidenceStructure(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    assert _edge_codes(c6, triangles) is not None
+    assert find_isomorphism(c6, triangles) is None and not brute_force_isomorphic(c6, triangles)
 
 
 def test_refine_matches_counter_refine(built):
@@ -572,6 +588,8 @@ def test_is_isomorphism_rejects_wrong_map(built):
     # swapping two points of a block design is almost never an automorphism;
     # check it is actually rejected here
     assert not is_isomorphism(d, d, wrong)
+    assert not is_isomorphism(d, d, list(range(35)))
+    assert not is_isomorphism(d, d, [0] + list(range(35)))
 
 
 def test_size_mismatch_fast_path(built):

@@ -13,6 +13,7 @@ from psu4designs.exactmath import (
     gcd,
     is_perfect_square,
     is_prime,
+    primes_up_to,
 )
 
 
@@ -114,6 +115,7 @@ def test_prime_powers_up_to():
     assert by_pa[(2, 5)] == 32
     with pytest.raises(ValueError):
         prime_powers_up_to(1)
+    assert primes_up_to(1) == []
 
 
 def test_prime_power_validation():

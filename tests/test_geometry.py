@@ -23,6 +23,8 @@ def test_projective_point_counts():
     assert len(projective_points(5, 3)) == 121
     assert len(projective_points(4, 3)) == 40
     assert len(projective_points(1, 3)) == 1
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        projective_points(0, 3)
 
 
 def test_projective_points_match_reference():
@@ -159,3 +161,5 @@ def test_pg_hyperplanes_fano():
     for i in range(7):
         for j in range(i + 1, 7):
             assert len(set(blocks[i]) & set(blocks[j])) == 1
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        pg_hyperplanes(1, 3)

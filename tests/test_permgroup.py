@@ -166,6 +166,8 @@ def test_group_order_intransitive():
     chain = stabilizer_chain(c2_s3)
     assert chain.order == 12
     assert chain.base[0] == 2
+    with pytest.raises(ValueError, match="desk-scale guard"):
+        stabilizer_chain(PermutationAction(10001, ()))
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_POINT_CLASS))
@@ -288,6 +290,8 @@ def test_block_action_rejects_non_automorphism():
     cycle = tuple((i + 1) % 36 for i in range(36))
     with pytest.raises(ValueError):
         induced_block_action(PermutationAction(36, (cycle,)), design)
+    with pytest.raises(ValueError, match="action degree differs from the point count"):
+        induced_block_action(cyclic_action(35), design)
 
 
 def test_compose_and_inverse_short():

@@ -139,6 +139,8 @@ def test_scan_all_smallest_range():
     assert report.unresolved == []
     (line2,) = [oc for oc in report.outcomes if (oc.line, oc.q.q) == (2, 2)]
     assert line2.status == ELIMINATED
+    with pytest.raises(ValueError, match="need p_max >= 2 and a_max >= 1"):
+        scan_range(1, 1)
 
 
 def test_scan_all_to_p5():
