@@ -205,12 +205,14 @@ def is_isomorphism(
 # Each design's profiles come back as the codes of its pairs x < y and the
 # list of its distinct profiles, so the two designs are matched on their
 # few distinct profiles, not on v^2 nested tuples.  _edge_codes ranks d1's
-# profiles from 1, leaving id 0 to the diagonal, and is the one place d2 is
-# given up before the search: with None, when d2 has a profile that d1
-# lacks.  The root refinement would reject it anyway, because the points of
-# d2 on such a pair have a code that no point of d1 has.  Otherwise d2's
-# profiles are among d1's, the ranks are the ranks over both designs, and
-# only then is each design's symmetric matrix built, once, from its codes.
+# profiles from 1, leaving id 0 to the diagonal.  d2 is given up in three
+# places: find_isomorphism on unequal point counts or block sizes;
+# _edge_codes, with None, when d2 has a profile that d1 lacks (the root
+# refinement would reject it anyway, because the points of d2 on such a
+# pair have a code that no point of d1 has); and _refine, whenever the two
+# signature multisets differ.  Past _edge_codes, d2's profiles are among
+# d1's, the ranks are the ranks over both designs, and only then is each
+# design's symmetric matrix built, once, from its codes.
 # ---------------------------------------------------------------------------
 
 
@@ -304,9 +306,8 @@ def _edge_codes(
 ) -> Optional[tuple[list[list[int]], list[list[int]]]]:
     """Per design, the v x v matrix of e * v at (x, y), e the rank of the
     pair's profile among d1's profiles counted from 1, and 0 on the
-    diagonal, built once from the design's pair codes.  This is the one
-    place d2 is rejected before the search: None, before any matrix is
-    built, when d2 has a profile that d1 lacks."""
+    diagonal, built once from the design's pair codes.  None, before any
+    matrix is built, when d2 has a profile that d1 lacks."""
     n = d1.v
     codes1, keys1 = _pair_profiles(d1)
     codes2, keys2 = _pair_profiles(d2)
@@ -341,21 +342,18 @@ class _IsoSearch:
         self.en1 = en1
         self.en2 = en2
 
-    def _renumber(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
-        if sorted(sig1) != sorted(sig2):
-            return None
-        ids = {s: i for i, s in enumerate(sorted(set(sig1)))}
-        return [ids[s] for s in sig1], [ids[s] for s in sig2]
-
-    def _refine(
-        self, col1: list[int], col2: list[int]
-    ) -> Optional[tuple[list[int], list[int]]]:
-        # A point's signature is the multiset of codes e * n + c over all y,
-        # e the edge id of (x, y) and c the colour of y.  As c < n, the codes
-        # order exactly as the (e, c) pairs.  Id 0 is the diagonal's alone
-        # (_edge_codes ranks the real profiles from 1), so y = x adds the
-        # leading item (col[x], 1) and nothing else: two signatures are equal,
-        # and sort, as the pairs (col[x], {(e, c) over y != x}) do.
+    def _refine(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
+        # The signatures come raw: the replication numbers at the root, the
+        # (colour, anchor flag, anchor triple counts) tuples after an
+        # individualisation.  Unequal multisets give d2 up; else the distinct
+        # signatures, numbered in sorted order, are the first colouring.
+        # In each edge round a point's signature is the multiset of codes
+        # e * n + c over all y, e the edge id of (x, y) and c the colour of y.
+        # As c < n, the codes order exactly as the (e, c) pairs.  Id 0 is the
+        # diagonal's alone (_edge_codes ranks the real profiles from 1), so
+        # y = x adds the leading item (col[x], 1) and nothing else: two
+        # signatures are equal, and sort, as the pairs
+        # (col[x], {(e, c) over y != x}) do.
         # Points are grouped by their sorted code tuple, which determines the
         # signature and is determined by it, so the (code, count) items are
         # built once per class, not once per point; a Counter of a sorted
@@ -365,8 +363,12 @@ class _IsoSearch:
         # not change its ids, only fail; and if it fails, the bijection the
         # colouring fixes maps some pair to a pair with another edge id, so
         # it is no isomorphism and _extract rejects the same branch.
+        if sorted(sig1) != sorted(sig2):
+            return None
+        ids = {s: i for i, s in enumerate(sorted(set(sig1)))}
+        col1, col2 = [ids[s] for s in sig1], [ids[s] for s in sig2]
         en1, en2 = self.en1, self.en2
-        classes = len(set(col1))
+        classes = len(ids)
         while classes < self.n:
             keys1 = [tuple(sorted(map(add, row, col1))) for row in en1]
             keys2 = [tuple(sorted(map(add, row, col2))) for row in en2]
@@ -405,10 +407,7 @@ class _IsoSearch:
              tuple((m2[b] & my & m2[z]).bit_count() for b in anchors2))
             for z in range(n)
         ]
-        renumbered = self._renumber(sig1, sig2)
-        if renumbered is None:
-            return None
-        return self._refine(*renumbered)
+        return self._refine(sig1, sig2)
 
     def _extract(self, col1: list[int], col2: list[int]) -> Optional[list[int]]:
         image = {}
@@ -458,12 +457,9 @@ def find_isomorphism(
     if codes is None:
         return None
     searcher = _IsoSearch(d1, d2, *codes)
-    seed = searcher._renumber(
+    start = searcher._refine(
         [m.bit_count() for m in searcher.masks1], [m.bit_count() for m in searcher.masks2]
     )
-    if seed is None:
-        return None
-    start = searcher._refine(*seed)
     if start is None:
         return None
     return searcher.search(*start)

@@ -31,7 +31,6 @@ __all__ = [
     "compose",
     "inverse",
     "induce",
-    "orbit",
     "stabilizer_chain",
     "group_order",
     "induced_block_action",
@@ -144,13 +143,6 @@ def _orbits(gens: Sequence[Permutation], n: int) -> list[set[int]]:
         out.append(o)
         remaining -= o
     return out
-
-
-def orbit(action: PermutationAction, seed: int) -> set[int]:
-    """The orbit of seed under the action."""
-    if not 0 <= seed < action.degree:
-        raise ValueError("seed out of range")
-    return _closure(action.generators, seed)
 
 
 def _stabilizer(
@@ -278,14 +270,16 @@ def is_primitive(action: PermutationAction) -> bool:
     Raises NotTransitiveError on intransitive input.
     """
     n = action.degree
-    if len(orbit(action, 0)) != n:
+    if not n:
+        raise ValueError("seed out of range")  # degree 0 has no point 0
+    trans, stab = _stabilizer(action.generators, 0, n)
+    if len(trans) != n:
         raise NotTransitiveError("action is not transitive")
     # The blocks through 0 are the orbits H(0) of the groups G_0 <= H <= G
     # (Dixon & Mortimer, Thm 1.5A).  Every element taking 0 to beta lies in
     # t_beta G_0, so the least block through {0, beta} is the orbit of 0
     # under <G_0, t_beta>.  An h in G_0 maps it onto the least block through
     # {0, h beta}, so one beta per suborbit decides; the first is {0}.
-    trans, stab = _stabilizer(action.generators, 0, n)
     return all(
         len(_closure(stab + [trans[min(o)]], 0)) == n for o in _orbits(stab, n)[1:]
     )

@@ -1,10 +1,11 @@
 """Independent oracles for the sieve's fast paths, and test utilities.
 
-``flags``, ``relabel``, ``prime_powers_up_to`` and ``orbits`` are test
-utilities: no program path calls them, so they live here rather than in the
-package.  ``flags`` lists a design's incident (point, block) pairs,
-``relabel`` renames its points, ``prime_powers_up_to`` enumerates the q a
-test sweeps, and ``orbits`` splits a permutation action into its orbits.
+``flags``, ``relabel``, ``prime_powers_up_to``, ``orbits`` and ``orbit``
+are test utilities: no program path calls them, so they live here rather
+than in the package.  ``flags`` lists a design's incident (point, block)
+pairs, ``relabel`` renames its points, ``prime_powers_up_to`` enumerates the
+q a test sweeps, ``orbits`` splits a permutation action into its orbits, and
+``orbit`` is one point's orbit.
 
 ``brute_force_candidates`` deliberately does not touch the package's
 k-search: it walks every k in 3..min(v-2, cap) directly and applies the
@@ -50,7 +51,12 @@ counted per value, so a change to the live search cannot change the oracle.
 ``CounterRefineIsoSearch`` is the search as it refined before colour
 classes were keyed by sorted code tuples: it counts every point's
 (code, count) signature and hashes nested profile tuples to rank the edge
-ids.  ``reference_build`` and ``reference_induce`` are ``designs.build`` and
+ids.  Like the live ``_refine``, its ``_refine`` takes raw signatures and
+opens with its own copy of the renumbering step that ``_IsoSearch`` once
+ran as a separate ``_renumber``, so the inherited ``_individualize`` can
+hand it the anchor signatures.
+
+``reference_build`` and ``reference_induce`` are ``designs.build`` and
 ``permgroup.induce`` as they read the bilinear form and normalised each
 image, before Gram-row dot products and the table of point multiples.
 
@@ -113,11 +119,11 @@ from psu4designs.permgroup import (
     Permutation,
     PermutationAction,
     StabilizerChain,
+    _closure,
     _orbits,
     identity_perm,
     induce,
     inverse,
-    orbit,
 )
 from psu4designs.sieve import (
     CUBE_PREFILTER,
@@ -169,6 +175,13 @@ def prime_powers_up_to(q_max: int) -> list[PrimePower]:
 
 def orbits(action: PermutationAction) -> list[set[int]]:
     return _orbits(action.generators, action.degree)
+
+
+def orbit(action: PermutationAction, seed: int) -> set[int]:
+    """The orbit of seed under the action."""
+    if not 0 <= seed < action.degree:
+        raise ValueError("seed out of range")
+    return _closure(action.generators, seed)
 
 
 # stage codes for (ii)-(iii) and (iv): the reference tests them, the sieve does not
@@ -524,9 +537,17 @@ class CounterRefineIsoSearch(_IsoSearch):
         self.en1 = [[ids[k] * n for k in row] for row in prof1]
         self.en2 = [[ids[k] * n for k in row] for row in prof2]
 
-    def _refine(
-        self, col1: list[int], col2: list[int]
-    ) -> Optional[tuple[list[int], list[int]]]:
+    def _renumber(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
+        if sorted(sig1) != sorted(sig2):
+            return None
+        ids = {s: i for i, s in enumerate(sorted(set(sig1)))}
+        return [ids[s] for s in sig1], [ids[s] for s in sig2]
+
+    def _refine(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
+        renumbered = self._renumber(sig1, sig2)
+        if renumbered is None:
+            return None
+        col1, col2 = renumbered
         en1, en2 = self.en1, self.en2
         classes = len(set(col1))
         while classes < self.n:

@@ -11,7 +11,7 @@ import pytest
 from helpers import relabel
 
 import psu4designs
-from psu4designs import cli, designs, sieve
+from psu4designs import cli, designs, permgroup, sieve
 from psu4designs.designs import IncidenceStructure, build, complement, write_design
 
 
@@ -66,7 +66,7 @@ def test_sieve_json_has_timestamp(tmp_path, capsys):
     code, _ = run(capsys, "sieve", "--line", "8", "--pmax", "2", "--amax", "1",
                   "--json", str(path))
     assert code == 0
-    assert "timestamp" in json.loads(path.read_text())
+    assert "timestamp" in json.loads(path.read_text(encoding="ascii"))
 
 
 def test_sieve_bad_range(capsys):
@@ -263,11 +263,11 @@ def test_closed_stdout_exits_io(argv, unbuffered):
 def test_verify_violation_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.des"
     # parseable file that is not a symmetric design
-    path.write_text("4 4\n0 1\n2 3\n0 2\n1 3\n")
+    path.write_text("4 4\n0 1\n2 3\n0 2\n1 3\n", encoding="ascii")
     code, out = run(capsys, "verify", str(path))
     assert code == 1
     assert "not a symmetric design" in out
-    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    path.write_text("3 3\n0 1\n1 2\n0 2\n", encoding="ascii")
     code, out = run(capsys, "verify", str(path))
     assert (code, out) == (1, "not a symmetric design: nontriviality violated at (3,)\n")
 
@@ -275,11 +275,11 @@ def test_verify_violation_exit_1(tmp_path, capsys):
 def test_verify_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.des"
     for text in ("3 1\n0 zero\n", "12 1\n+0 1_1\n"):
-        path.write_text(text)
+        path.write_text(text, encoding="ascii")
         code, out = run(capsys, "verify", str(path))
         assert code == 2
         assert "line 2" in out
-    path.write_text("0 0\n")
+    path.write_text("0 0\n", encoding="ascii")
     code, out = run(capsys, "verify", str(path))
     assert (code, out) == (2, f"error: {path}: line 1: bad sizes v=0 b=0\n")
 
@@ -405,6 +405,16 @@ def test_group_checks(capsys, design, check, complement):
     assert run(capsys, *argv) == (0, want + "\n")
 
 
+def test_group_primitive_not_transitive(monkeypatch, capsys):
+    swap = (1, 0) + tuple(range(2, 36))
+    monkeypatch.setattr(
+        permgroup, "orthogonal_reflection_action",
+        lambda point_class: permgroup.PermutationAction(36, (swap,)),
+    )
+    argv = ["group", "--design", "menon36", "--check", "primitive"]
+    assert run(capsys, *argv) == (1, "not transitive\n")
+
+
 def test_usage_errors(capsys):
     assert cli.main(["sieve", "--line", "17", "--pmax", "2", "--amax", "1"]) == 2
     assert cli.main(["nonsense"]) == 2
@@ -480,7 +490,7 @@ def test_import_footprint(tmp_path, argv, loaded, absent):
     env = dict(os.environ, PYTHONPATH=str(Path(psu4designs.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+        capture_output=True, encoding="ascii", env=env, cwd=tmp_path, check=True,
     )
     code, modules, slow = json.loads(proc.stdout)
     names = {m.removeprefix("psu4designs.") for m in modules}

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     all_reflections_action,
     flags,
+    orbit,
     orbits,
     reference_compose,
     reference_induce,
@@ -31,7 +32,6 @@ from psu4designs.permgroup import (
     induced_block_action,
     is_flag_transitive,
     is_primitive,
-    orbit,
     stabilizer_chain,
     stabilizer_orbit_sizes,
 )

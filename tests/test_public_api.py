@@ -28,7 +28,7 @@ PUBLIC = {
                 "verify_symmetric", "write_design"],
     "permgroup": ["NotTransitiveError", "Permutation", "PermutationAction", "StabilizerChain",
                   "compose", "group_order", "identity_perm", "induce", "induced_block_action",
-                  "inverse", "is_flag_transitive", "is_primitive", "orbit",
+                  "inverse", "is_flag_transitive", "is_primitive",
                   "orthogonal_reflection_action", "stabilizer_chain", "stabilizer_orbit_sizes"],
 }
 
