@@ -29,8 +29,8 @@ from .exactmath import primes_up_to
 if TYPE_CHECKING:
     from .sieve import CaseOutcome
 
-# Each subcommand imports the leg it runs (sieve, permgroup) inside its own
-# function, so a command loads and compiles only the modules it calls.
+# sieve and permgroup load only inside the subcommands that run them; the
+# parser reads designs.KINDS, so every command loads designs, geometry and exactmath.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -96,16 +96,6 @@ _ROW_FORMATS = {
 }
 
 
-def _timestamp() -> str:
-    from datetime import datetime, timezone
-
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _print(line: str = "") -> None:
-    sys.stdout.write(line + "\n")
-
-
 # ---------------------------------------------------------------------------
 # sieve
 # ---------------------------------------------------------------------------
@@ -135,14 +125,14 @@ def cmd_sieve(args: argparse.Namespace) -> int:
     from . import sieve
 
     if args.pmax < 2 or args.amax < 1:
-        _print("error: need --pmax >= 2 and --amax >= 1")
+        print("error: need --pmax >= 2 and --amax >= 1")
         return EXIT_USAGE
     if args.pmax > _PMAX_CEILING:
-        _print(f"error: --pmax above {_PMAX_CEILING} is not supported")
+        print(f"error: --pmax above {_PMAX_CEILING} is not supported")
         return EXIT_USAGE
     lines = None if args.line == "all" else [int(args.line)]
     report = sieve.scan_all(args.pmax, args.amax, lines)
-    _print(f"sieve line={args.line} pmax={args.pmax} amax={args.amax}")
+    print(f"sieve line={args.line} pmax={args.pmax} amax={args.amax}")
     for oc in report.outcomes:
         extra = ""
         if oc.reason:
@@ -152,16 +142,15 @@ def cmd_sieve(args: argparse.Namespace) -> int:
                 f"{p} [{t['classification']}]" for p, t in oc.candidates
             )
         sub = f" q0={oc.subfield[0].q}" if oc.subfield else ""
-        _print(f"line {oc.line:>2} q={oc.q.q:<6}{sub} v={oc.v:<24} {oc.status}{extra}")
-    _print()
-    _print(f"survivors ({len(report.survivors)}):")
-    for line, qv, triple in report.survivors:
-        _print(f"  line {line} q={qv} {triple}")
-    _print(f"unresolved ({len(report.unresolved)}):")
-    for line, qv, triple in report.unresolved:
-        _print(f"  line {line} q={qv} {triple}")
+        print(f"line {oc.line:>2} q={oc.q.q:<6}{sub} v={oc.v:<24} {oc.status}{extra}")
+    print()
+    for title, found in (("survivors", report.survivors), ("unresolved", report.unresolved)):
+        print(f"{title} ({len(found)}):")
+        for line, qv, triple in found:
+            print(f"  line {line} q={qv} {triple}")
     if args.json:
         import json
+        from datetime import datetime, timezone
 
         payload = {
             "version": __version__,
@@ -169,13 +158,13 @@ def cmd_sieve(args: argparse.Namespace) -> int:
             "outcomes": [_outcome_json(oc) for oc in report.outcomes],
         }
         if not args.no_timestamp:
-            payload["timestamp"] = _timestamp()
+            payload["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
         try:
             with open(args.json, "w", encoding="ascii") as fh:
                 json.dump(payload, fh, sort_keys=True, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            _print(f"error: cannot write {args.json}: {exc}")
+            print(f"error: cannot write {args.json}: {exc}")
             return EXIT_IO
     return EXIT_OK
 
@@ -196,28 +185,28 @@ def cmd_tables(args: argparse.Namespace) -> int:
     reported = GOLDEN_T9_REPORTED if tid == "9" else {}
     # a row found on one side only shows None on the other
     absent = (None, None) if tid == "3" else None
-    _print(f"table {tid}")
+    print(f"table {tid}")
     ok = True
     for key in sorted(rows.keys() | golden.keys()):
         got = rows.get(key, absent)
         if key in reported:
             want = reported[key]
             note = "matches golden" if got == want else f"DIVERGES from golden {want}"
-            _print(f"  line {key}: q in {got}  reported, not compared ({note})")
+            print(f"  line {key}: q in {got}  reported, not compared ({note})")
             continue
         want = golden.get(key, absent)
         ok = ok and got == want
-        _print("  " + fmt.format(key, got, want) + ("  ok" if got == want else "  MISMATCH"))
+        print("  " + fmt.format(key, got, want) + ("  ok" if got == want else "  MISMATCH"))
     if tid == "8":
         ones = sorted(p for p, a in table.items() if a == 1)
         got = (len(ones), ones[:2], ones[-1:])
         ok = ok and got == GOLDEN_T8_CAP1
-        _print(
+        print(
             f"  a<=1 row: {got[0]} primes, first {got[1]}, last {got[2]}"
             f"  golden first {GOLDEN_T8_CAP1[1]}, last {GOLDEN_T8_CAP1[2]}"
             f"  {'ok' if got == GOLDEN_T8_CAP1 else 'MISMATCH'}"
         )
-    _print(f"table {tid}: {'MATCH' if ok else 'MISMATCH'}")
+    print(f"table {tid}: {'MATCH' if ok else 'MISMATCH'}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -237,16 +226,16 @@ def cmd_construct(args: argparse.Namespace) -> int:
     design = _build_design(args.kind, args.complement)
     result = designs.verify_symmetric(design)
     if isinstance(result, designs.VerificationFailure):
-        _print(f"verification failed: {result}")
+        print(f"verification failed: {result}")
         return EXIT_MISMATCH
-    _print(f"{args.kind}{' complement' if args.complement else ''}: {result}")
+    print(f"{args.kind}{' complement' if args.complement else ''}: {result}")
     if args.out:
         try:
             designs.write_design(design, args.out)
         except OSError as exc:
-            _print(f"error: cannot write {args.out}: {exc}")
+            print(f"error: cannot write {args.out}: {exc}")
             return EXIT_IO
-        _print(f"wrote {args.out}")
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -254,10 +243,10 @@ def _read_design(path: str) -> designs.IncidenceStructure:
     try:
         return designs.read_design(path)
     except OSError as exc:
-        _print(f"error: cannot read {path}: {exc}")
+        print(f"error: cannot read {path}: {exc}")
         raise SystemExit(EXIT_IO)
     except DesignFormatError as exc:
-        _print(f"error: {path}: {exc}")
+        print(f"error: {path}: {exc}")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -265,9 +254,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     design = _read_design(args.file)
     result = designs.verify_symmetric(design)
     if isinstance(result, designs.VerificationFailure):
-        _print(f"not a symmetric design: {result}")
+        print(f"not a symmetric design: {result}")
         return EXIT_MISMATCH
-    _print(f"symmetric design {result}")
+    print(f"symmetric design {result}")
     return EXIT_OK
 
 
@@ -276,10 +265,10 @@ def cmd_iso(args: argparse.Namespace) -> int:
     d2 = _read_design(args.file2)
     witness = designs.find_isomorphism(d1, d2)
     if witness is None:
-        _print("no")
+        print("no")
     else:
-        _print("yes")
-        _print("witness: " + " ".join(map(str, witness)))
+        print("yes")
+        print("witness: " + " ".join(map(str, witness)))
     return EXIT_OK
 
 
@@ -290,25 +279,25 @@ def cmd_group(args: argparse.Namespace) -> int:
     if args.check == "order":
         order = permgroup.group_order(action)
         name = _GROUP_NAMES.get(order, "unrecognised")
-        _print(f"order {order} ({name})")
+        print(f"order {order} ({name})")
         return EXIT_OK
     if args.check == "primitive":
         try:
             prim = permgroup.is_primitive(action)
         except permgroup.NotTransitiveError:
-            _print("not transitive")
+            print("not transitive")
             return EXIT_MISMATCH
-        _print("yes" if prim else "no")
+        print("yes" if prim else "no")
         return EXIT_OK
     if args.check == "rank":
         sizes = permgroup.stabilizer_orbit_sizes(action, 0)
-        _print(f"rank {len(sizes)} (stabilizer orbit sizes {sizes})")
+        print(f"rank {len(sizes)} (stabilizer orbit sizes {sizes})")
         return EXIT_OK
     # flagtrans
     design = _build_design(args.design, args.complement)
     block_action = permgroup.induced_block_action(action, design)
     flag = permgroup.is_flag_transitive(action, design, block_action)
-    _print("yes" if flag else "no")
+    print("yes" if flag else "no")
     return EXIT_OK
 
 
@@ -368,15 +357,13 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
+    # every SystemExit here carries an int: 0 from --version and --help,
+    # EXIT_USAGE from _Parser.error, EXIT_IO or EXIT_USAGE from _read_design
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        args = _make_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_MISMATCH
+        return exc.code
 
 
 def console_main() -> None:

@@ -42,13 +42,13 @@ __all__ = [
     "read_design",
 ]
 
-KINDS = ("menon36", "minus45", "higman40", "pg33")
-
 KIND_POINT_CLASS = {
     "menon36": SQUARE_TYPE,
     "minus45": NONSQUARE_TYPE,
     "higman40": ISOTROPIC,
 }
+
+KINDS = (*KIND_POINT_CLASS, "pg33")
 
 
 class _IncidenceStructure(NamedTuple):
@@ -175,7 +175,7 @@ def is_isomorphism(
 # triple counts against the anchor set picked so far, which discretises
 # the colouring after two or three anchors.
 #
-# The profiles are counted per value, not sorted pair by pair.  Write
+# The profiles are counted per value.  Write
 # M(x, y, z) = |B(x) & B(y) & B(z)|, which is symmetric in its three points.
 # Pair (y, z)'s histogram counts, for each value t, the points w with
 # M(w, y, z) = t, and by the symmetry these are the points x with
@@ -358,7 +358,7 @@ class _IsoSearch:
         # signature and is determined by it, so the (code, count) items are
         # built once per class, not once per point; a Counter of a sorted
         # tuple lists its items in code order.  The new ids rank the classes
-        # by signature, as ranking every point's signature did.
+        # by signature, so equal signatures in d1 and d2 get equal ids.
         # A discrete colouring is returned as it is.  A further round could
         # not change its ids, only fail; and if it fails, the bijection the
         # colouring fixes maps some pair to a pair with another edge id, so

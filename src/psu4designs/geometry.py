@@ -123,7 +123,7 @@ def reflection(space: _OrthogonalSpace, v: tuple[int, ...]) -> tuple[tuple[int, 
     p = space.p
     vc = tuple(c % p for c in v)
     gv = space.gram_row(vc)
-    qv = sum(map(mul, gv, vc)) % p
+    qv = space.form(vc)
     if qv == 0:
         raise ValueError("reflection requires an anisotropic vector")
     c = 2 * pow(qv, -1, p) % p

@@ -421,6 +421,14 @@ def test_usage_errors(capsys):
     assert cli.main(["construct", "unknown-kind"]) == 2
 
 
+def test_version_and_help_exit_0(capsys):
+    """argparse ends --version and --help by SystemExit(0), which main returns."""
+    assert run(capsys, "--version") == (0, psu4designs.__version__ + "\n")
+    code, out = run(capsys, "sieve", "--help")
+    assert code == 0
+    assert out.startswith("usage: psu4designs sieve")
+
+
 def test_stdout_byte_identical_across_runs(capsys):
     outputs = []
     for _ in range(2):

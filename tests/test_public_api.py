@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import psu4designs
-from psu4designs import catalog, designs, exactmath, geometry, permgroup, sieve
+from psu4designs import catalog, cli, designs, exactmath, geometry, permgroup, sieve
 
 MODULES = ("exactmath", "catalog", "sieve", "geometry", "designs", "permgroup")
 
@@ -270,3 +270,15 @@ def test_benchmark_names_resolve():
                 missing.append((module, name))
     missing += [name for name in BENCH_CASE_MEMBERS if not hasattr(catalog.SubgroupCase, name)]
     assert missing == []
+
+
+def test_console_script_and_version():
+    """The installed ``psu4designs`` command resolves to ``cli.console_main``,
+    and the packaged version is the one the CLI prints."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    module, _, attr = project["scripts"]["psu4designs"].partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    assert target is cli.console_main and callable(target)
+    assert project["version"] == psu4designs.__version__
