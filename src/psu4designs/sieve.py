@@ -281,8 +281,10 @@ def _t8_holds(x: int, a: int) -> bool:
 #   t8: s <= 35, d(q) < 8q^3 and f(q)h(q) < 2q^4 bound the right-hand side
 #       by 560a^2 q^3 + 9800a^3 q^4 < 10010a^3 q^4 (q >= 3), while
 #       v-1 >= q^5/2 - 1, so it fails once q > 20020a^3 + 2/q^4.
-# For a >= 4, p^a / a^3 grows with a (p (a/(a+1))^3 >= 2 * 0.512 > 1); at
-# p = 2 it falls from a = 3 to a = 4, so exponents below 4 are always tried.
+# The a with p^a <= _Q_CEILING * a^3 are 1, 2, ..., so _cap stops at the
+# first a above the ceiling: for p >= 11, p^a / a^3 grows with a
+# (p (a/(a+1))^3 >= 11/8 > 1); for p <= 7, every a < 4 has p^a <= 343 <
+# _Q_CEILING, and p^a / a^3 grows for a >= 4 (p (a/(a+1))^3 >= 2 * 0.512 > 1).
 _Q_CEILING = 20021
 
 
@@ -290,7 +292,7 @@ def _cap(holds, p: int) -> int:
     """Largest a with holds(p^a, a); 0 when even a=1 fails."""
     best = 0
     a = 1
-    while a < 4 or p**a <= _Q_CEILING * a**3:
+    while p**a <= _Q_CEILING * a**3:
         if holds(p**a, a):
             best = a
         a += 1

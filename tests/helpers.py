@@ -30,6 +30,10 @@ calls, before it took them from one |X| and one |H0| per case.
 
 ``exhaustive_cap`` tries a fixed 64 exponents for every prime, so agreement
 with ``sieve._cap`` checks the derived exponent ceiling that stops it early.
+``reference_cap`` is ``sieve._cap`` as it ran ``holds`` at every exponent
+below 4, before it stopped at the first q = p^a above ``_Q_CEILING * a^3``,
+where the proof at ``sieve._Q_CEILING`` says every cut-off fails; tables
+built with it check that stop.
 
 ``all_reflections_action`` is the reflection action generated by all 81
 mirrors, as ``permgroup.orthogonal_reflection_action`` built it before it
@@ -136,7 +140,7 @@ from psu4designs.sieve import (
     UNRESOLVED,
     CaseOutcome,
 )
-from psu4designs.sieve import _k_search
+from psu4designs.sieve import _Q_CEILING, _k_search
 
 
 def flags(design: IncidenceStructure) -> list[tuple[int, int]]:
@@ -220,6 +224,17 @@ def exhaustive_cap(holds, p):
     for a in range(1, 65):
         if holds(p**a, a):
             best = a
+    return best
+
+
+def reference_cap(holds, p: int) -> int:
+    """Largest a with holds(p^a, a); 0 when even a=1 fails."""
+    best = 0
+    a = 1
+    while a < 4 or p**a <= _Q_CEILING * a**3:
+        if holds(p**a, a):
+            best = a
+        a += 1
     return best
 
 

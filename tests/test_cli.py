@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -421,6 +422,19 @@ def test_usage_errors(capsys):
     assert cli.main(["construct", "unknown-kind"]) == 2
 
 
+def _choices(command: str, dest: str):
+    parser = cli._make_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_kind_choices_are_the_designs_kinds():
+    """The parser writes out its kind names so that it need not load
+    ``designs``; they are the kinds ``designs`` builds."""
+    assert _choices("construct", "kind") == designs.KINDS
+    assert list(_choices("group", "design")) == sorted(designs.KIND_POINT_CLASS)
+
+
 def test_version_and_help_exit_0(capsys):
     """argparse ends --version and --help by SystemExit(0), which main returns."""
     assert run(capsys, "--version") == (0, psu4designs.__version__ + "\n")
@@ -480,8 +494,9 @@ print(json.dumps([
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
-    (["tables", "--table", "3"], {"sieve"}, {"permgroup"}),
-    (["sieve", "--line", "8", "--pmax", "2", "--amax", "1"], {"sieve"}, {"permgroup"}),
+    (["tables", "--table", "3"], {"sieve"}, {"permgroup", "designs", "geometry"}),
+    (["sieve", "--line", "8", "--pmax", "2", "--amax", "1"], {"sieve"},
+     {"permgroup", "designs", "geometry"}),
     (["construct", "pg33"], {"designs"}, {"sieve", "catalog", "permgroup"}),
     (["verify", "DESIGN"], {"designs"}, {"sieve", "catalog", "permgroup"}),
     (["iso", "DESIGN", "DESIGN"], {"designs"}, {"sieve", "catalog", "permgroup"}),

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 from helpers import (
-    brute_force_candidates, divisor_scan, exhaustive_cap, reference_k_search,
+    brute_force_candidates, divisor_scan, exhaustive_cap, reference_cap, reference_k_search,
     prime_powers_up_to, reference_scan_instance,
 )
 
@@ -245,6 +245,15 @@ def test_cap_ceiling_matches_exhaustive_search():
         for holds in (_t4_holds, _t6_holds) + ((_t8_holds,) if p > 2 else ()):
             assert _cap(holds, p) == exhaustive_cap(holds, p), (holds.__name__, p)
     assert _cap(_t7_holds, 2) == exhaustive_cap(_t7_holds, 2)
+
+
+@pytest.mark.parametrize("tid", ["4", "6", "7", "8"])
+def test_cap_tables_match_reference_cap(monkeypatch, tid):
+    """Every prime up to the ceiling: ``_cap`` stops at the first exponent
+    whose q is above ``_Q_CEILING * a^3``, the oracle runs every a < 4."""
+    table = bound_table(tid)
+    monkeypatch.setattr(sieve, "_cap", reference_cap)
+    assert table == bound_table(tid)
 
 
 def test_scan_report_unique_case_keys(full_scan):
