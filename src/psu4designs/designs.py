@@ -383,32 +383,6 @@ class _IsoSearch:
                 break
         return col1, col2
 
-    def _individualize(
-        self,
-        col1: list[int],
-        col2: list[int],
-        anchors1: tuple[int, ...],
-        anchors2: tuple[int, ...],
-        x: int,
-        y: int,
-    ) -> Optional[tuple[list[int], list[int]]]:
-        # anchor-triple refinement: colour every z by its triple counts
-        # with (a, x) over all previous anchors a
-        n = self.n
-        m1, m2 = self.masks1, self.masks2
-        mx, my = m1[x], m2[y]
-        sig1 = [
-            (col1[z], z == x,
-             tuple((m1[a] & mx & m1[z]).bit_count() for a in anchors1))
-            for z in range(n)
-        ]
-        sig2 = [
-            (col2[z], z == y,
-             tuple((m2[b] & my & m2[z]).bit_count() for b in anchors2))
-            for z in range(n)
-        ]
-        return self._refine(sig1, sig2)
-
     def _extract(self, col1: list[int], col2: list[int]) -> Optional[list[int]]:
         image = {}
         for y in range(self.n):
@@ -429,10 +403,24 @@ class _IsoSearch:
             return self._extract(col1, col2)
         target = min(split, key=lambda c: (counts[c], c))
         x = col1.index(target)
-        for y in range(self.n):
+        # anchor-triple refinement: colour every z by its triple counts with
+        # (a, x) over all previous anchors a; d1's side is the same for every y
+        n = self.n
+        m1, m2 = self.masks1, self.masks2
+        mx = m1[x]
+        sig1 = [
+            (col1[z], z == x, tuple((m1[a] & mx & m1[z]).bit_count() for a in anchors1))
+            for z in range(n)
+        ]
+        for y in range(n):
             if col2[y] != target:
                 continue
-            refined = self._individualize(col1, col2, anchors1, anchors2, x, y)
+            my = m2[y]
+            sig2 = [
+                (col2[z], z == y, tuple((m2[b] & my & m2[z]).bit_count() for b in anchors2))
+                for z in range(n)
+            ]
+            refined = self._refine(sig1, sig2)
             if refined is None:
                 continue
             found = self.search(

@@ -17,10 +17,12 @@ on the flags coded as integers.
 from __future__ import annotations
 
 from operator import itemgetter, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import geometry
-from .designs import IncidenceStructure
+
+if TYPE_CHECKING:
+    from .designs import IncidenceStructure
 
 __all__ = [
     "Permutation",
@@ -272,9 +274,9 @@ def is_primitive(action: PermutationAction) -> bool:
     n = action.degree
     if not n:
         raise ValueError("seed out of range")  # degree 0 has no point 0
-    trans, stab = _stabilizer(action.generators, 0, n)
-    if len(trans) != n:
+    if len(_closure(action.generators, 0)) != n:
         raise NotTransitiveError("action is not transitive")
+    trans, stab = _stabilizer(action.generators, 0, n)
     # The blocks through 0 are the orbits H(0) of the groups G_0 <= H <= G
     # (Dixon & Mortimer, Thm 1.5A).  Every element taking 0 to beta lies in
     # t_beta G_0, so the least block through {0, beta} is the orbit of 0
@@ -291,9 +293,9 @@ def stabilizer_orbit_sizes(action: PermutationAction, point: int) -> list[int]:
     n = action.degree
     if not 0 <= point < n:
         raise ValueError("point out of range")
-    trans, stab = _stabilizer(action.generators, point, n)
-    if len(trans) != n:
+    if len(_closure(action.generators, point)) != n:
         raise NotTransitiveError("action is not transitive")
+    _, stab = _stabilizer(action.generators, point, n)
     return sorted(map(len, _orbits(stab, n)))
 
 

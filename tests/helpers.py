@@ -57,8 +57,8 @@ classes were keyed by sorted code tuples: it counts every point's
 (code, count) signature and hashes nested profile tuples to rank the edge
 ids.  Like the live ``_refine``, its ``_refine`` takes raw signatures and
 opens with its own copy of the renumbering step that ``_IsoSearch`` once
-ran as a separate ``_renumber``, so the inherited ``_individualize`` can
-hand it the anchor signatures.
+ran as a separate ``_renumber``, so the inherited ``search`` can hand it
+the anchor signatures.
 
 ``reference_build`` and ``reference_induce`` are ``designs.build`` and
 ``permgroup.induce`` as they read the bilinear form and normalised each

@@ -472,19 +472,19 @@ def test_sieve_31_3_bytes_pinned(tmp_path, capsys):
 
 
 # Run in a fresh interpreter: ``cli.main(argv)`` with stdout muted (or, for
-# an empty argv, a bare import of ``designs``), then print the exit code, the
-# psu4designs modules that got loaded, and which of the slow-to-import
-# ``dataclasses`` and ``inspect`` got loaded.
+# argv ["import", name], a bare import of ``psu4designs.<name>``), then print
+# the exit code, the psu4designs modules that got loaded, and which of the
+# slow-to-import ``dataclasses`` and ``inspect`` got loaded.
 _FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 argv = json.loads(sys.argv[1])
 code = None
 with contextlib.redirect_stdout(io.StringIO()):
-    if argv:
+    if argv[0] == "import":
+        importlib.import_module("psu4designs." + argv[1])
+    else:
         from psu4designs import cli
         code = cli.main(argv)
-    else:
-        import psu4designs.designs
 print(json.dumps([
     code,
     sorted(m for m in sys.modules if m.startswith("psu4designs.")),
@@ -502,8 +502,12 @@ print(json.dumps([
     (["iso", "DESIGN", "DESIGN"], {"designs"}, {"sieve", "catalog", "permgroup"}),
     (["group", "--design", "higman40", "--complement", "--check", "flagtrans"],
      {"permgroup"}, {"sieve", "catalog"}),
-    ([], {"designs"}, {"sieve", "catalog"}),
-], ids=["tables", "sieve", "construct", "verify", "iso", "group", "import-designs"])
+    (["import", "designs"], {"designs"}, {"sieve", "catalog"}),
+    (["import", "permgroup"], {"permgroup", "geometry"}, {"designs", "sieve", "catalog"}),
+], ids=[
+    "tables", "sieve", "construct", "verify", "iso", "group", "import-designs",
+    "import-permgroup",
+])
 def test_import_footprint(tmp_path, argv, loaded, absent):
     """Each subcommand loads only the leg it runs, and none loads
     ``dataclasses`` or ``inspect``."""
@@ -517,6 +521,6 @@ def test_import_footprint(tmp_path, argv, loaded, absent):
     )
     code, modules, slow = json.loads(proc.stdout)
     names = {m.removeprefix("psu4designs.") for m in modules}
-    assert code == (0 if argv else None)
+    assert code == (None if argv[0] == "import" else 0)
     assert loaded <= names and not absent & names, sorted(names)
     assert slow == []

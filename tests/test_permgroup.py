@@ -18,7 +18,7 @@ from helpers import (
     relabel,
 )
 
-from psu4designs import geometry
+from psu4designs import geometry, permgroup
 from psu4designs.designs import KIND_POINT_CLASS, KINDS, IncidenceStructure, build, complement
 from psu4designs.geometry import SQUARE_TYPE, classify_point, design_space, projective_points, reflection
 from psu4designs.permgroup import (
@@ -242,6 +242,23 @@ def test_stabilizer_orbits_partition_degree(reflection_actions):
     for action in reflection_actions.values():
         sizes = stabilizer_orbit_sizes(action, 0)
         assert sum(sizes) == action.degree
+
+
+def test_intransitive_input_raises_before_schreier_generators(monkeypatch, reflection_actions):
+    """One orbit closure rejects intransitive input before the stabilizer's
+    Schreier generators are built: here the 36-point action with a fixed
+    point added."""
+    menon = reflection_actions["menon36"]
+    padded = PermutationAction(37, tuple(g + (36,) for g in menon.generators))
+
+    def unreachable(*args):
+        raise AssertionError("_stabilizer ran on intransitive input")
+
+    monkeypatch.setattr(permgroup, "_stabilizer", unreachable)
+    with pytest.raises(NotTransitiveError):
+        is_primitive(padded)
+    with pytest.raises(NotTransitiveError):
+        stabilizer_orbit_sizes(padded, 0)
 
 
 def test_regular_action_rank_equals_degree():
