@@ -16,7 +16,7 @@ makes the polarity explicit and the incidence matrix symmetric;
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import islice, repeat
 from operator import add, mul
 from struct import Struct
 from typing import NamedTuple, Optional, Union
@@ -213,6 +213,12 @@ def is_isomorphism(
 # signature multisets differ.  Past _edge_codes, d2's profiles are among
 # d1's, the ranks are the ranks over both designs, and only then is each
 # design's symmetric matrix built, once, from its codes.
+#
+# _IsoSearch lays out each row of the two matrices once per search: the
+# points of the ids that occur once in the row, and the runs of the other
+# ids.  An edge round keys each point by the colours of the former and a
+# packed sum of colour counts per run, with no sort, and ranks colours only
+# in a round that splits a class (_refine gives the argument).
 # ---------------------------------------------------------------------------
 
 
@@ -334,13 +340,56 @@ class _IsoSearch:
         en1: list[list[int]],
         en2: list[list[int]],
     ) -> None:
-        self.n = d1.v
+        n = self.n = d1.v
         self.d1 = d1
         self.d2 = d2
         self.masks1 = d1.point_masks()
         self.masks2 = d2.point_masks()
         self.en1 = en1
         self.en2 = en2
+        w = self.width = next(b for b in (8, 16, 32, 64) if n < 1 << b)
+        self.units = [1 << w * c for c in range(n)]
+        shapes: dict[tuple[int, ...], tuple] = {}
+
+        def layout(ids: tuple[int, ...]) -> tuple:
+            # a row's shape is its sorted ids, the diagonal's 0 first.  Per
+            # shape: its number, the positions of the ids that occur once
+            # (None when all do, as in most rows of irregular structures,
+            # which then take no step per id), the slices of the runs of the
+            # other ids but the longest, whose sum the key leaves out, and
+            # for decoding the ids of both, the longest run's last
+            if len(set(ids)) == n:
+                return len(shapes), None, (), ids, ()
+            count = Counter(ids)
+            longest = max(count, key=count.__getitem__)
+            once, slices, runs, start = [], [], [], 0
+            for e, k in count.items():
+                if k == 1:
+                    once.append(start)
+                elif e != longest:
+                    slices.append(slice(start, start + k))
+                    runs.append(e)
+                start += k
+            return len(shapes), once, slices, [ids[i] for i in once], runs + [longest]
+
+        def rows(en: list[list[int]]) -> list[tuple]:
+            # per point x: its row's shape number, the y whose id occurs once
+            # and the y of each run but the longest, all in order of id
+            out = []
+            for row in en:
+                order = sorted(range(n), key=row.__getitem__)
+                ids = tuple(map(row.__getitem__, order))
+                shape = shapes.get(ids)
+                if shape is None:
+                    shape = shapes[ids] = layout(ids)
+                r, once, slices = shape[:3]
+                singles = order if once is None else list(map(order.__getitem__, once))
+                out.append((r, singles, [order[s] for s in slices]))
+            return out
+
+        self.rows1 = rows(en1)
+        self.rows2 = rows(en2)
+        self.shapes = [shape[3:] for shape in shapes.values()]
 
     def _refine(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
         # The signatures come raw: the replication numbers at the root, the
@@ -348,39 +397,80 @@ class _IsoSearch:
         # individualisation.  Unequal multisets give d2 up; else the distinct
         # signatures, numbered in sorted order, are the first colouring.
         # In each edge round a point's signature is the multiset of codes
-        # e * n + c over all y, e the edge id of (x, y) and c the colour of y.
-        # As c < n, the codes order exactly as the (e, c) pairs.  Id 0 is the
+        # e * n + c over all y, e the edge id of (x, y) and c the colour of y,
+        # and the new ids rank the signatures by their (code, count) items in
+        # code order, so equal signatures in d1 and d2 get equal ids.  As
+        # c < n, the codes order exactly as the (e, c) pairs.  Id 0 is the
         # diagonal's alone (_edge_codes ranks the real profiles from 1), so
-        # y = x adds the leading item (col[x], 1) and nothing else: two
-        # signatures are equal, and sort, as the pairs
-        # (col[x], {(e, c) over y != x}) do.
-        # Points are grouped by their sorted code tuple, which determines the
-        # signature and is determined by it, so the (code, count) items are
-        # built once per class, not once per point; a Counter of a sorted
-        # tuple lists its items in code order.  The new ids rank the classes
-        # by signature, so equal signatures in d1 and d2 get equal ids.
-        # A discrete colouring is returned as it is.  A further round could
-        # not change its ids, only fail; and if it fails, the bijection the
-        # colouring fixes maps some pair to a pair with another edge id, so
-        # it is no isomorphism and _extract rejects the same branch.
+        # y = x adds the leading item (col[x], 1) and nothing else.
         if sorted(sig1) != sorted(sig2):
             return None
         ids = {s: i for i, s in enumerate(sorted(set(sig1)))}
         col1, col2 = [ids[s] for s in sig1], [ids[s] for s in sig2]
-        en1, en2 = self.en1, self.en2
+        w = self.width
+        field = (1 << w) - 1
+        units = self.units
+
+        def keys(rows: list, col: list[int]) -> list[tuple[int, ...]]:
+            colour = col.__getitem__
+            bit = list(map(units.__getitem__, col)).__getitem__
+            return [
+                (r, *map(colour, singles), *[sum(map(bit, group)) for group in groups])
+                for r, singles, groups in rows
+            ]
+
+        def items(key: tuple[int, ...]) -> list[tuple[int, int]]:
+            once, runs = self.shapes[key[0]]
+            k = 1 + len(once)
+            out = list(zip(map(add, once, key[1:k]), repeat(1)))
+            sums = key[k:]
+            if runs:  # the longest run holds what the others leave of the total
+                sums += (total - sum(map(units.__getitem__, key[1:k])) - sum(sums),)
+            for e, s in zip(runs, sums):
+                while s:
+                    c = ((s & -s).bit_length() - 1) // w
+                    count = s >> w * c & field
+                    out.append((e + c, count))
+                    s -= count << w * c
+            out.sort()
+            return out
+
+        # Keys.  A round keys point x by its row's layout: the shape number,
+        # the colours of the y whose id occurs once in the row, y = x first,
+        # and for each other run but the longest the sum of 1 << w * col[y]
+        # over its y.  Field c of a sum, w bits wide, counts the code
+        # e * n + c; w is the smallest of 8, 16, 32 and 64 with n < 2^w, so
+        # no count carries into the next field.  The longest run's sum is
+        # the total of 1 << w * col[y] over all y less the rest of the row,
+        # and the total is the same for every point of both designs, whose
+        # classes have equal sizes.  So the key determines the signature and
+        # is determined by it.
+        # No-split rounds.  The key multisets are compared first, so unequal
+        # ones still give d2 up.  A key holds col[x], so if d1 has no more
+        # keys than classes, no class splits; and as every signature's least
+        # item is (col[x], 1), ranking them would give every point its old
+        # id.  The colouring is returned as it came in; most rounds end here.
+        # Splitting rounds.  Only they decode the distinct keys into their
+        # items, a once-id's straight from its colour and a sum field by
+        # field from its lowest set bit, so a key costs its nonzero fields,
+        # not one per class.
+        # A discrete colouring is returned as it is.  A further round could
+        # not change its ids, only fail; and if it fails, the bijection the
+        # colouring fixes maps some pair to a pair with another edge id, so
+        # it is no isomorphism and _extract rejects the same branch.
         classes = len(ids)
         while classes < self.n:
-            keys1 = [tuple(sorted(map(add, row, col1))) for row in en1]
-            keys2 = [tuple(sorted(map(add, row, col2))) for row in en2]
-            if sorted(keys1) != sorted(keys2):
+            keys1, keys2 = keys(self.rows1, col1), keys(self.rows2, col2)
+            tally = Counter(keys1)
+            if tally != Counter(keys2):
                 return None
-            sigs = {k: tuple(Counter(k).items()) for k in set(keys1)}
-            ids = {k: i for i, k in enumerate(sorted(sigs, key=sigs.__getitem__))}
+            if len(tally) == classes:
+                break
+            total = sum(map(units.__getitem__, col1))
+            ids = {k: i for i, k in enumerate(sorted(tally, key=items))}
             col1 = list(map(ids.__getitem__, keys1))
             col2 = list(map(ids.__getitem__, keys2))
-            before, classes = classes, len(ids)
-            if classes == before:
-                break
+            classes = len(ids)
         return col1, col2
 
     def _extract(self, col1: list[int], col2: list[int]) -> Optional[list[int]]:

@@ -567,6 +567,44 @@ def test_refine_matches_counter_refine(built):
                 assert new._refine(c1, c2) == old._refine(c1, c2), d1
 
 
+def test_refine_matches_counter_refine_wide_fields():
+    """At v = 300 a colour count can pass 255, so a count field needs two
+    bytes.  The edge matrices are given directly: id 1 off the diagonal, id
+    2 on the pairs of points 0 and 1 with the points listed below.  In one
+    colour, point 0 sees 260 points on id 1 and point 1 sees 5, so point 1
+    ranks first; a one-byte field would read 260 as 4.  The reference
+    object is built without reference_pair_profiles, which is cubic in v."""
+    n = 300
+    rng = random.Random(3003)
+    second = {0: [*range(2, 21), *range(280, 300)], 1: [*range(2, 277), *range(280, 299)]}
+    en1 = [[n * (x != y) for y in range(n)] for x in range(n)]
+    for x, ys in second.items():
+        for y in ys:
+            en1[x][y] = en1[y][x] = 2 * n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    en2 = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            en2[perm[x]][perm[y]] = en1[x][y]
+    empty = IncidenceStructure(n, ())
+    new = _IsoSearch(empty, empty, en1, en2)
+    old = CounterRefineIsoSearch.__new__(CounterRefineIsoSearch)
+    old.n, old.en1, old.en2 = n, en1, en2
+    colourings = [[0] * n, [int(x >= 280) for x in range(n)]]
+    colourings += [[rng.randrange(colours) for _ in range(n)] for colours in (2, 3, 40)]
+    refined = []
+    for col1 in colourings:
+        col2 = [0] * n
+        for x, y in enumerate(perm):
+            col2[y] = col1[x]
+        refined.append(new._refine(col1, col2))
+        assert refined[-1] == old._refine(col1, col2)
+        unrelated = rng.sample(col1, n)
+        assert new._refine(col1, unrelated) == old._refine(col1, unrelated)
+    assert refined[0] is not None and refined[0][0][1] < refined[0][0][0]
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(kind=st.sampled_from(KINDS), comp=st.booleans(), data=st.data())
 def test_relabelled_design_witness_property(kind, comp, data):
