@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice, repeat
-from operator import add, mul
+from operator import add, lt, mul
 from struct import Struct
 from typing import NamedTuple, Optional, Union
 
@@ -63,9 +63,9 @@ class IncidenceStructure(_IncidenceStructure):
 
     def __new__(cls, v: int, blocks: tuple[tuple[int, ...], ...]) -> IncidenceStructure:
         for b, block in enumerate(blocks):
-            if any(not 0 <= i < v for i in block):
+            if block and (min(block) < 0 or max(block) >= v):
                 raise ValueError(f"block {b} has an out-of-range point index")
-            if any(x >= y for x, y in zip(block, block[1:])):
+            if not all(map(lt, block, block[1:])):
                 raise ValueError(f"block {b} is not strictly sorted")
         return super().__new__(cls, v, blocks)
 
@@ -330,6 +330,18 @@ def _edge_codes(
     return matrix(codes1, keys1), matrix(codes2, keys2)
 
 
+def _anchor_signature(masks: list[int], col: list[int], anchors: tuple[int, ...],
+                      x: int, flag: list[bool]) -> list[tuple]:
+    """Per point z, (col[z], z == x, c_1, ..., c_d) with c_i = |B(a_i) & B(x) & B(z)|,
+    one count list per anchor; flag is an all-False list lent for the call.  The
+    tuples of one level have one length, so they sort as (col, flag, (c_i)) would."""
+    counts = [[(p & m).bit_count() for m in masks] for p in [masks[a] & masks[x] for a in anchors]]
+    flag[x] = True
+    sig = list(zip(col, flag, *counts))
+    flag[x] = False
+    return sig
+
+
 class _IsoSearch:
     """Joint individualisation-refinement over two equal-size designs."""
 
@@ -345,8 +357,6 @@ class _IsoSearch:
         self.d2 = d2
         self.masks1 = d1.point_masks()
         self.masks2 = d2.point_masks()
-        self.en1 = en1
-        self.en2 = en2
         w = self.width = next(b for b in (8, 16, 32, 64) if n < 1 << b)
         self.units = [1 << w * c for c in range(n)]
         shapes: dict[tuple[int, ...], tuple] = {}
@@ -392,10 +402,10 @@ class _IsoSearch:
         self.shapes = [shape[3:] for shape in shapes.values()]
 
     def _refine(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
-        # The signatures come raw: the replication numbers at the root, the
-        # (colour, anchor flag, anchor triple counts) tuples after an
-        # individualisation.  Unequal multisets give d2 up; else the distinct
-        # signatures, numbered in sorted order, are the first colouring.
+        # The signatures come raw: replication numbers at the root, the flat
+        # tuples of _anchor_signature after an individualisation.  Unequal
+        # multisets give d2 up; else the distinct signatures, numbered in
+        # sorted order, are the first colouring.
         # In each edge round a point's signature is the multiset of codes
         # e * n + c over all y, e the edge id of (x, y) and c the colour of y,
         # and the new ids rank the signatures by their (code, count) items in
@@ -445,7 +455,8 @@ class _IsoSearch:
         # and the total is the same for every point of both designs, whose
         # classes have equal sizes.  So the key determines the signature and
         # is determined by it.
-        # No-split rounds.  The key multisets are compared first, so unequal
+        # No-split rounds.  The key multisets are compared first, as plain
+        # dicts (all counts are positive; Counter's == is slower), so unequal
         # ones still give d2 up.  A key holds col[x], so if d1 has no more
         # keys than classes, no class splits; and as every signature's least
         # item is (col[x], 1), ranking them would give every point its old
@@ -462,7 +473,7 @@ class _IsoSearch:
         while classes < self.n:
             keys1, keys2 = keys(self.rows1, col1), keys(self.rows2, col2)
             tally = Counter(keys1)
-            if tally != Counter(keys2):
+            if not dict.__eq__(tally, Counter(keys2)):
                 return None
             if len(tally) == classes:
                 break
@@ -493,24 +504,13 @@ class _IsoSearch:
             return self._extract(col1, col2)
         target = min(split, key=lambda c: (counts[c], c))
         x = col1.index(target)
-        # anchor-triple refinement: colour every z by its triple counts with
-        # (a, x) over all previous anchors a; d1's side is the same for every y
-        n = self.n
-        m1, m2 = self.masks1, self.masks2
-        mx = m1[x]
-        sig1 = [
-            (col1[z], z == x, tuple((m1[a] & mx & m1[z]).bit_count() for a in anchors1))
-            for z in range(n)
-        ]
-        for y in range(n):
+        # anchor-triple refinement, by _anchor_signature; d1's is the same for every y
+        flag = [False] * self.n
+        sig1 = _anchor_signature(self.masks1, col1, anchors1, x, flag)
+        for y in range(self.n):
             if col2[y] != target:
                 continue
-            my = m2[y]
-            sig2 = [
-                (col2[z], z == y, tuple((m2[b] & my & m2[z]).bit_count() for b in anchors2))
-                for z in range(n)
-            ]
-            refined = self._refine(sig1, sig2)
+            refined = self._refine(sig1, _anchor_signature(self.masks2, col2, anchors2, y, flag))
             if refined is None:
                 continue
             found = self.search(
@@ -594,9 +594,9 @@ def parse_design(text: str) -> IncidenceStructure:
             idx = _naturals(line.split())
         except ValueError:
             raise DesignFormatError(lineno, "block entries must be integers") from None
-        if any(not 0 <= i < v for i in idx):
+        if idx and max(idx) >= v:  # _naturals leaves no negative index
             raise DesignFormatError(lineno, "point index out of range")
-        if any(x >= y for x, y in zip(idx, idx[1:])):
+        if not all(map(lt, idx, idx[1:])):
             raise DesignFormatError(lineno, "block must be strictly increasing")
         blocks.append(idx)
     return IncidenceStructure(v, tuple(blocks))

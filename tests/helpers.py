@@ -60,6 +60,16 @@ opens with its own copy of the renumbering step that ``_IsoSearch`` once
 ran as a separate ``_renumber``, so the inherited ``search`` can hand it
 the anchor signatures.
 
+``reference_anchor_signature`` is the anchor signature as
+``_IsoSearch.search`` built it before ``designs._anchor_signature``: a
+nested tuple (colour, anchor flag, tuple of triple counts) per point, from
+a generator over the anchors run for every point.  ``_refine`` must give
+the same colour ids on it as on the flat tuples.
+
+``reference_out_of_range`` and ``reference_unsorted`` are the per-block
+checks that ``IncidenceStructure`` and ``parse_design`` ran as generator
+predicates before they took ``min``/``max`` and ``all(map(lt, ...))``.
+
 ``reference_build`` and ``reference_induce`` are ``designs.build`` and
 ``permgroup.induce`` as they read the bilinear form and normalised each
 image, before Gram-row dot products and the table of point multiples.
@@ -576,6 +586,25 @@ class CounterRefineIsoSearch(_IsoSearch):
             if classes == before:
                 break
         return col1, col2
+
+
+def reference_anchor_signature(
+    masks: list[int], col: list[int], anchors: tuple[int, ...], x: int
+) -> list[tuple]:
+    n = len(masks)
+    mx = masks[x]
+    return [
+        (col[z], z == x, tuple((masks[a] & mx & masks[z]).bit_count() for a in anchors))
+        for z in range(n)
+    ]
+
+
+def reference_out_of_range(v: int, block: Sequence[int]) -> bool:
+    return any(not 0 <= i < v for i in block)
+
+
+def reference_unsorted(block: Sequence[int]) -> bool:
+    return any(x >= y for x, y in zip(block, block[1:]))
 
 
 def reference_build(kind: str) -> IncidenceStructure:

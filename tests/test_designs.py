@@ -3,16 +3,19 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     CounterRefineIsoSearch,
     brute_force_isomorphic,
     flags,
+    reference_anchor_signature,
     reference_build,
     reference_find_isomorphism,
+    reference_out_of_range,
     reference_pair_profiles,
+    reference_unsorted,
     reference_verify_symmetric,
     relabel,
 )
@@ -30,6 +33,7 @@ from psu4designs.designs import (
     read_design,
     verify_symmetric,
     write_design,
+    _anchor_signature,
     _edge_codes,
     _IsoSearch,
     _pair_profiles,
@@ -302,6 +306,57 @@ def test_parse_rejects_only_with_format_error(d, data, noise):
         assert parse_design(format_design(parsed)) == parsed
 
 
+# v points and up to 6 blocks of indices in -1..v: empty blocks, the
+# indices -1 and v, repeated indices and unsorted blocks
+_RAW_BLOCKS = st.integers(min_value=1, max_value=8).flatmap(
+    lambda v: st.tuples(
+        st.just(v),
+        st.lists(st.lists(st.integers(min_value=-1, max_value=v)).map(tuple), max_size=6),
+    )
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(case=_RAW_BLOCKS)
+@example(case=(3, [(), (0, 2)]))
+@example(case=(3, [(0, 3)]))
+@example(case=(3, [(-1, 0)]))
+@example(case=(3, [(1, 1)]))
+@example(case=(3, [(2, 0)]))
+@example(case=(3, [(0, 1), (2, 0, 5)]))
+def test_block_checks_match_reference(case):
+    """IncidenceStructure and parse_design accept and reject blocks exactly
+    as the generator predicates they ran before: the first bad block fails,
+    with the range error before the order error, and in a file a negative
+    index fails as a token before either, on the block's own line."""
+    v, blocks = case
+    blocks = tuple(blocks)
+    bad = next(
+        (b for b, block in enumerate(blocks)
+         if reference_out_of_range(v, block) or reference_unsorted(block)),
+        None,
+    )
+    text = f"{v} {len(blocks)}\n" + "".join(" ".join(map(str, block)) + "\n" for block in blocks)
+    if bad is None:
+        assert IncidenceStructure(v, blocks).blocks == blocks
+        assert parse_design(text) == IncidenceStructure(v, blocks)
+        return
+    what = ("has an out-of-range point index" if reference_out_of_range(v, blocks[bad])
+            else "is not strictly sorted")
+    with pytest.raises(ValueError) as err:
+        IncidenceStructure(v, blocks)
+    assert str(err.value) == f"block {bad} {what}"
+    if min(blocks[bad]) < 0:
+        message = "block entries must be integers"
+    elif reference_out_of_range(v, blocks[bad]):
+        message = "point index out of range"
+    else:
+        message = "block must be strictly increasing"
+    with pytest.raises(DesignFormatError) as err:
+        parse_design(text)
+    assert (err.value.lineno, str(err.value)) == (bad + 2, f"line {bad + 2}: {message}")
+
+
 def test_two_40_27_18_designs_not_isomorphic(built):
     assert find_isomorphism(complement(built["pg33"]), complement(built["higman40"])) is None
     assert find_isomorphism(built["pg33"], built["higman40"]) is None
@@ -553,9 +608,10 @@ def test_refine_matches_counter_refine(built):
         perm = list(range(n))
         rng.shuffle(perm)
         d2 = relabel(d1, perm)
-        new = _IsoSearch(d1, d2, *_edge_codes(d1, d2))
+        codes = _edge_codes(d1, d2)
+        new = _IsoSearch(d1, d2, *codes)
         old = CounterRefineIsoSearch(d1, d2)
-        assert (new.en1, new.en2) == (old.en1, old.en2)
+        assert codes == (old.en1, old.en2)
         for _ in range(5):
             colours = rng.randint(1, n)
             col1 = [rng.randrange(colours) for _ in range(n)]
@@ -603,6 +659,50 @@ def test_refine_matches_counter_refine_wide_fields():
         unrelated = rng.sample(col1, n)
         assert new._refine(col1, unrelated) == old._refine(col1, unrelated)
     assert refined[0] is not None and refined[0][0][1] < refined[0][0][0]
+
+
+def test_flat_anchor_signature_matches_nested(built):
+    """_refine gives the same colour ids, or the same None, on the flat
+    anchor signatures as on the nested ones the search built before, at
+    anchor depths 0-4.  d2 is a relabelling of d1; its anchors, x and
+    colouring are either the images of d1's or drawn at random."""
+    rng = random.Random(5151)
+    cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
+    cases += [_random_structure(rng) for _ in range(40)]
+    answers = Counter()
+    for d1 in cases:
+        n = d1.v
+        perm = list(range(n))
+        rng.shuffle(perm)
+        d2 = relabel(d1, perm)
+        searcher = _IsoSearch(d1, d2, *_edge_codes(d1, d2))
+        m1, m2 = searcher.masks1, searcher.masks2
+        flag = [False] * n
+        for depth in range(min(5, n)):
+            *anchors1, x = rng.sample(range(n), depth + 1)
+            anchors1 = tuple(anchors1)
+            col1 = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+            col2 = [0] * n
+            for z, y in enumerate(perm):
+                col2[y] = col1[z]
+            *others, other = rng.sample(range(n), depth + 1)
+            for anchors2, y, c2 in (
+                (tuple(perm[a] for a in anchors1), perm[x], col2),
+                (tuple(others), other, rng.sample(col1, n)),
+            ):
+                flat = searcher._refine(
+                    _anchor_signature(m1, col1, anchors1, x, flag),
+                    _anchor_signature(m2, c2, anchors2, y, flag),
+                )
+                nested = searcher._refine(
+                    reference_anchor_signature(m1, col1, anchors1, x),
+                    reference_anchor_signature(m2, c2, anchors2, y),
+                )
+                assert flat == nested, (d1, depth)
+                answers[depth, flat is None] += 1
+        assert flag == [False] * n
+    assert all(answers[depth, False] for depth in range(5)), answers
+    assert sum(answers[depth, True] for depth in range(5)) >= 50, answers
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
