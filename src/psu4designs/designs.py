@@ -16,7 +16,7 @@ makes the polarity explicit and the incidence matrix symmetric;
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice, repeat
+from itertools import islice
 from operator import add, lt, mul
 from struct import Struct
 from typing import NamedTuple, Optional, Union
@@ -204,21 +204,23 @@ def is_isomorphism(
 #
 # Each design's profiles come back as the codes of its pairs x < y and the
 # list of its distinct profiles, so the two designs are matched on their
-# few distinct profiles, not on v^2 nested tuples.  _edge_codes ranks d1's
-# profiles from 1, leaving id 0 to the diagonal.  d2 is given up in three
-# places: find_isomorphism on unequal point counts or block sizes;
+# few distinct profiles, not on v^2 nested tuples.  _edge_codes numbers
+# d1's profiles from 1, leaving id 0 to the diagonal.  d2 is given up in
+# three places: find_isomorphism on unequal point counts or block sizes;
 # _edge_codes, with None, when d2 has a profile that d1 lacks (the root
 # refinement would reject it anyway, because the points of d2 on such a
 # pair have a code that no point of d1 has); and _refine, whenever the two
 # signature multisets differ.  Past _edge_codes, d2's profiles are among
-# d1's, the ranks are the ranks over both designs, and only then is each
-# design's symmetric matrix built, once, from its codes.
+# d1's, and only then is each design's symmetric matrix built, once, from
+# its codes.
 #
-# _IsoSearch lays out each row of the two matrices once per search: the
-# points of the ids that occur once in the row, and the runs of the other
-# ids.  An edge round keys each point by the colours of the former and a
-# packed sum of colour counts per run, with no sort, and ranks colours only
-# in a round that splits a class (_refine gives the argument).
+# Edge and colour ids are labels, not ranks: each is the index at which its
+# profile, signature or key first appears in d1, shared with d2.  A pair
+# test needs no more, as no canonical form is built; only tie-breaks, and so
+# the witness, follow that order.  _IsoSearch lays out each row of the two
+# matrices once per search: the points of the ids that occur once in the
+# row, and the runs of the other ids.  An edge round keys each point by the
+# colours of the former and a packed sum of colour counts per run, no sort.
 # ---------------------------------------------------------------------------
 
 
@@ -310,14 +312,14 @@ def _pair_profiles(design: IncidenceStructure) -> tuple[list[int], list[tuple]]:
 def _edge_codes(
     d1: IncidenceStructure, d2: IncidenceStructure
 ) -> Optional[tuple[list[list[int]], list[list[int]]]]:
-    """Per design, the v x v matrix of e * v at (x, y), e the rank of the
-    pair's profile among d1's profiles counted from 1, and 0 on the
-    diagonal, built once from the design's pair codes.  None, before any
-    matrix is built, when d2 has a profile that d1 lacks."""
+    """Per design, the v x v matrix of e * v at (x, y), e the number of the
+    pair's profile among d1's in order of first appearance, counted from 1,
+    and 0 on the diagonal, built once from the design's pair codes.  None,
+    before any matrix is built, when d2 has a profile that d1 lacks."""
     n = d1.v
     codes1, keys1 = _pair_profiles(d1)
     codes2, keys2 = _pair_profiles(d2)
-    rank = {k: i * n for i, k in enumerate(sorted(keys1), 1)}
+    rank = {k: i * n for i, k in enumerate(keys1, 1)}
     if not rank.keys() >= set(keys2):
         return None
 
@@ -333,8 +335,8 @@ def _edge_codes(
 def _anchor_signature(masks: list[int], col: list[int], anchors: tuple[int, ...],
                       x: int, flag: list[bool]) -> list[tuple]:
     """Per point z, (col[z], z == x, c_1, ..., c_d) with c_i = |B(a_i) & B(x) & B(z)|,
-    one count list per anchor; flag is an all-False list lent for the call.  The
-    tuples of one level have one length, so they sort as (col, flag, (c_i)) would."""
+    one count list per anchor; flag is an all-False list lent for the call.  Two
+    points get equal tuples exactly when (col, flag, (c_i)) is equal."""
     counts = [[(p & m).bit_count() for m in masks] for p in [masks[a] & masks[x] for a in anchors]]
     flag[x] = True
     sig = list(zip(col, flag, *counts))
@@ -357,7 +359,7 @@ class _IsoSearch:
         self.d2 = d2
         self.masks1 = d1.point_masks()
         self.masks2 = d2.point_masks()
-        w = self.width = next(b for b in (8, 16, 32, 64) if n < 1 << b)
+        w = next(b for b in (8, 16, 32, 64) if n < 1 << b)
         self.units = [1 << w * c for c in range(n)]
         shapes: dict[tuple[int, ...], tuple] = {}
 
@@ -365,22 +367,20 @@ class _IsoSearch:
             # a row's shape is its sorted ids, the diagonal's 0 first.  Per
             # shape: its number, the positions of the ids that occur once
             # (None when all do, as in most rows of irregular structures,
-            # which then take no step per id), the slices of the runs of the
-            # other ids but the longest, whose sum the key leaves out, and
-            # for decoding the ids of both, the longest run's last
+            # which then take no step per id) and the slices of the runs of
+            # the other ids but the longest, whose sum the key leaves out
             if len(set(ids)) == n:
-                return len(shapes), None, (), ids, ()
+                return len(shapes), None, ()
             count = Counter(ids)
             longest = max(count, key=count.__getitem__)
-            once, slices, runs, start = [], [], [], 0
+            once, slices, start = [], [], 0
             for e, k in count.items():
                 if k == 1:
                     once.append(start)
                 elif e != longest:
                     slices.append(slice(start, start + k))
-                    runs.append(e)
                 start += k
-            return len(shapes), once, slices, [ids[i] for i in once], runs + [longest]
+            return len(shapes), once, slices
 
         def rows(en: list[list[int]]) -> list[tuple]:
             # per point x: its row's shape number, the y whose id occurs once
@@ -392,33 +392,23 @@ class _IsoSearch:
                 shape = shapes.get(ids)
                 if shape is None:
                     shape = shapes[ids] = layout(ids)
-                r, once, slices = shape[:3]
+                r, once, slices = shape
                 singles = order if once is None else list(map(order.__getitem__, once))
                 out.append((r, singles, [order[s] for s in slices]))
             return out
 
         self.rows1 = rows(en1)
         self.rows2 = rows(en2)
-        self.shapes = [shape[3:] for shape in shapes.values()]
 
     def _refine(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
         # The signatures come raw: replication numbers at the root, the flat
         # tuples of _anchor_signature after an individualisation.  Unequal
         # multisets give d2 up; else the distinct signatures, numbered in
-        # sorted order, are the first colouring.
-        # In each edge round a point's signature is the multiset of codes
-        # e * n + c over all y, e the edge id of (x, y) and c the colour of y,
-        # and the new ids rank the signatures by their (code, count) items in
-        # code order, so equal signatures in d1 and d2 get equal ids.  As
-        # c < n, the codes order exactly as the (e, c) pairs.  Id 0 is the
-        # diagonal's alone (_edge_codes ranks the real profiles from 1), so
-        # y = x adds the leading item (col[x], 1) and nothing else.
-        if sorted(sig1) != sorted(sig2):
+        # order of first appearance in d1, are the first colouring.
+        if not dict.__eq__(Counter(sig1), Counter(sig2)):
             return None
-        ids = {s: i for i, s in enumerate(sorted(set(sig1)))}
+        ids = {s: i for i, s in enumerate(dict.fromkeys(sig1))}
         col1, col2 = [ids[s] for s in sig1], [ids[s] for s in sig2]
-        w = self.width
-        field = (1 << w) - 1
         units = self.units
 
         def keys(rows: list, col: list[int]) -> list[tuple[int, ...]]:
@@ -429,46 +419,22 @@ class _IsoSearch:
                 for r, singles, groups in rows
             ]
 
-        def items(key: tuple[int, ...]) -> list[tuple[int, int]]:
-            once, runs = self.shapes[key[0]]
-            k = 1 + len(once)
-            out = list(zip(map(add, once, key[1:k]), repeat(1)))
-            sums = key[k:]
-            if runs:  # the longest run holds what the others leave of the total
-                sums += (total - sum(map(units.__getitem__, key[1:k])) - sum(sums),)
-            for e, s in zip(runs, sums):
-                while s:
-                    c = ((s & -s).bit_length() - 1) // w
-                    count = s >> w * c & field
-                    out.append((e + c, count))
-                    s -= count << w * c
-            out.sort()
-            return out
-
-        # Keys.  A round keys point x by its row's layout: the shape number,
-        # the colours of the y whose id occurs once in the row, y = x first,
-        # and for each other run but the longest the sum of 1 << w * col[y]
-        # over its y.  Field c of a sum, w bits wide, counts the code
-        # e * n + c; w is the smallest of 8, 16, 32 and 64 with n < 2^w, so
-        # no count carries into the next field.  The longest run's sum is
-        # the total of 1 << w * col[y] over all y less the rest of the row,
-        # and the total is the same for every point of both designs, whose
-        # classes have equal sizes.  So the key determines the signature and
-        # is determined by it.
-        # No-split rounds.  The key multisets are compared first, as plain
-        # dicts (all counts are positive; Counter's == is slower), so unequal
-        # ones still give d2 up.  A key holds col[x], so if d1 has no more
-        # keys than classes, no class splits; and as every signature's least
-        # item is (col[x], 1), ranking them would give every point its old
-        # id.  The colouring is returned as it came in; most rounds end here.
-        # Splitting rounds.  Only they decode the distinct keys into their
-        # items, a once-id's straight from its colour and a sum field by
-        # field from its lowest set bit, so a key costs its nonzero fields,
-        # not one per class.
+        # An edge round keys point x by its row's layout: the shape number,
+        # the colours of the y whose id occurs once in the row (y = x first:
+        # id 0 is the diagonal's alone), and per other run but the longest
+        # the sum of 1 << w * col[y] over its y, whose w-bit field c counts
+        # colour c with no carry, as n < 2^w.  The longest run holds all
+        # colours less the rest of the row's, and all colours are the same
+        # for every point of both designs, whose classes have equal sizes.
+        # So the key determines the multiset of (edge id, colour) over all y,
+        # and is determined by it.  Unequal key multisets (plain dicts: all
+        # counts are positive, and Counter's == is slower) give d2 up.  A key
+        # holds col[x], so no round merges classes; one that splits none
+        # returns the colouring as it came in, as most rounds do.
         # A discrete colouring is returned as it is.  A further round could
-        # not change its ids, only fail; and if it fails, the bijection the
-        # colouring fixes maps some pair to a pair with another edge id, so
-        # it is no isomorphism and _extract rejects the same branch.
+        # not change its classes, only fail; and if it fails, the bijection
+        # the colouring fixes maps some pair to a pair with another edge id,
+        # so it is no isomorphism and _extract rejects the same branch.
         classes = len(ids)
         while classes < self.n:
             keys1, keys2 = keys(self.rows1, col1), keys(self.rows2, col2)
@@ -477,8 +443,7 @@ class _IsoSearch:
                 return None
             if len(tally) == classes:
                 break
-            total = sum(map(units.__getitem__, col1))
-            ids = {k: i for i, k in enumerate(sorted(tally, key=items))}
+            ids = {k: i for i, k in enumerate(tally)}
             col1 = list(map(ids.__getitem__, keys1))
             col2 = list(map(ids.__getitem__, keys2))
             classes = len(ids)
@@ -599,7 +564,9 @@ def parse_design(text: str) -> IncidenceStructure:
         if not all(map(lt, idx, idx[1:])):
             raise DesignFormatError(lineno, "block must be strictly increasing")
         blocks.append(idx)
-    return IncidenceStructure(v, tuple(blocks))
+    # _make skips IncidenceStructure.__new__, whose block checks are the
+    # per-line checks just made
+    return IncidenceStructure._make((v, tuple(blocks)))
 
 
 def write_design(design: IncidenceStructure, path: str) -> None:

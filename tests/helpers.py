@@ -46,7 +46,9 @@ yes or no for the iso search on structures small enough (v <= 6).
 profiles and the refinement as ``designs`` computed them from point masks
 and (edge id, colour) tuples, before packed triple-count rows and integer
 codes; ``reference_find_isomorphism`` runs the search on them, so
-agreement checks the profiles, the colour ids and the witness.
+agreement checks the yes/no answer.  Its ids rank in sorted order; the live
+search's are labels in order of first appearance, so its witness, though
+valid, may be another one.
 ``ReferenceIsoSearch`` inherits nothing from ``designs._IsoSearch``: its
 renumbering, individualisation, branching and witness extraction are
 copies of ``_IsoSearch``'s as they stood when the pair profiles were first
@@ -58,7 +60,8 @@ classes were keyed by sorted code tuples: it counts every point's
 ids.  Like the live ``_refine``, its ``_refine`` takes raw signatures and
 opens with its own copy of the renumbering step that ``_IsoSearch`` once
 ran as a separate ``_renumber``, so the inherited ``search`` can hand it
-the anchor signatures.
+the anchor signatures.  ``first_appearance`` relabels a pair of
+colourings so that the live ids and these ranked ones compare as partitions.
 
 ``reference_anchor_signature`` is the anchor signature as
 ``_IsoSearch.search`` built it before ``designs._anchor_signature``: a
@@ -586,6 +589,18 @@ class CounterRefineIsoSearch(_IsoSearch):
             if classes == before:
                 break
         return col1, col2
+
+
+def first_appearance(
+    refined: Optional[tuple[Sequence[int], Sequence[int]]]
+) -> Optional[list[int]]:
+    """col1 + col2 with each id replaced by the index of its first
+    appearance there, so equal results mean equal joint partitions; None
+    stays None."""
+    if refined is None:
+        return None
+    ids: dict[int, int] = {}
+    return [ids.setdefault(c, len(ids)) for c in (*refined[0], *refined[1])]
 
 
 def reference_anchor_signature(

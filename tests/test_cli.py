@@ -308,17 +308,17 @@ def test_iso_two_40_27_18_files(tmp_path, capsys):
     assert "witness:" in out
 
 
-# computed before the pair profiles were read from packed triple counts;
+# computed after colour ids became labels in order of first appearance;
 # the search must keep returning these very witnesses
 _ISO_PINNED = {
-    ("menon36", "menon36"): "yes\nwitness: 0 1 31 7 17 24 8 18 9 12 3 29 34 11 22 30 25 23"
-    " 26 33 4 5 32 13 10 21 20 27 2 19 14 15 35 6 16 28\n",
-    ("minus45", "minus45"): "yes\nwitness: 0 1 4 23 15 38 8 43 10 13 12 42 41 2 27 34 29 37"
-    " 14 6 16 28 7 32 35 44 3 22 9 24 26 25 19 17 36 33 40 11 30 21 20 5 39 18 31\n",
+    ("menon36", "menon36"): "yes\nwitness: 0 1 7 31 24 17 8 9 18 3 12 34 29 22 11 30 23 25"
+    " 33 26 5 4 13 32 21 10 20 27 2 19 15 14 35 6 16 28\n",
+    ("minus45", "minus45"): "yes\nwitness: 0 1 4 7 37 29 3 44 28 16 34 35 32 6 14 12 38 15"
+    " 27 2 13 10 23 41 42 43 8 22 33 36 17 19 25 26 24 9 40 5 39 18 31 11 30 21 20\n",
     ("higman40", "higman40"): "yes\nwitness: 0 1 2 5 9 26 30 17 16 11 37 38 33 12 8 4 36 29"
     " 3 24 28 19 25 34 31 18 20 6 35 13 39 14 27 23 10 7 32 15 21 22\n",
-    ("pg33", "pg33"): "yes\nwitness: 0 1 10 15 2 14 39 24 5 12 36 4 27 3 37 16 23 32 20 38"
-    " 6 7 18 9 17 28 25 22 35 30 26 33 21 11 8 31 29 19 13 34\n",
+    ("pg33", "pg33"): "yes\nwitness: 0 1 10 15 2 14 39 24 5 12 36 4 27 3 16 37 38 7 6 23"
+    " 20 32 33 11 21 19 34 13 8 29 31 18 17 9 35 26 30 28 22 25\n",
     ("pg33", "higman40"): "no\n",
 }
 
@@ -338,13 +338,12 @@ def test_iso_witness_pinned(tmp_path, capsys, kinds):
 
 
 # the same for the complements, each against a relabelling seeded
-# "iso:KIND:complement"; computed before colour classes were keyed by
-# sorted code tuples and the pair profiles came back as code matrices
+# "iso:KIND:complement"
 _ISO_PINNED_COMPLEMENT = {
-    "menon36": "yes\nwitness: 0 2 30 4 16 33 3 27 24 26 22 18 13 14 23 20 9 12 10 32"
-    " 8 34 17 7 11 31 29 19 25 35 5 21 15 6 28 1\n",
-    "minus45": "yes\nwitness: 0 1 12 27 21 17 14 33 44 42 43 8 3 6 7 15 35 4 25 40 34"
-    " 31 19 5 10 28 23 24 16 39 20 36 38 41 37 26 32 18 30 29 22 9 11 2 13\n",
+    "menon36": "yes\nwitness: 0 2 4 30 33 16 3 24 27 22 26 13 18 23 14 20 10 32"
+    " 9 12 17 7 8 34 5 21 1 28 6 15 11 31 35 25 19 29\n",
+    "minus45": "yes\nwitness: 0 1 12 4 19 15 25 40 5 10 35 34 31 28 23 17 43 27 14 33 8 3"
+    " 21 44 42 6 7 24 38 41 37 26 16 39 20 36 32 13 2 11 9 22 29 30 18\n",
     "higman40": "yes\nwitness: 0 5 4 3 28 17 39 18 19 20 33 23 21 26 29 15 16 31 1 34"
     " 6 27 35 2 13 37 12 11 25 30 32 7 22 14 24 38 9 36 10 8\n",
     "pg33": "yes\nwitness: 0 1 5 30 2 15 28 32 21 33 13 3 18 4 23 38 24 37 39 9 14 34"

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     CounterRefineIsoSearch,
+    ReferenceIsoSearch,
     brute_force_isomorphic,
+    first_appearance,
     flags,
     reference_anchor_signature,
     reference_build,
@@ -357,6 +359,12 @@ def test_block_checks_match_reference(case):
     assert (err.value.lineno, str(err.value)) == (bad + 2, f"line {bad + 2}: {message}")
 
 
+def test_parse_returns_incidence_structure(built):
+    """parse_design skips IncidenceStructure.__new__, yet returns the class,
+    not a bare tuple that would compare equal to it."""
+    assert type(parse_design(format_design(built["pg33"]))) is IncidenceStructure
+
+
 def test_two_40_27_18_designs_not_isomorphic(built):
     assert find_isomorphism(complement(built["pg33"]), complement(built["higman40"])) is None
     assert find_isomorphism(built["pg33"], built["higman40"]) is None
@@ -448,8 +456,9 @@ def test_pair_profiles_match_reference(built):
 
 def test_pair_profiles_against_known_keys(built):
     """_edge_codes returns None exactly when d2 has a profile that d1 lacks,
-    and otherwise the matrices of d1's profile ranks times v, read from
-    the full reference profiles (the diagonal's (-1, ()) ranks 0)."""
+    and otherwise the matrices of d1's profile numbers times v, read from
+    the full reference profiles: d1's profiles count from 1 in order of
+    first appearance over the pairs x < y, and the diagonal's (-1, ()) is 0."""
     rng = random.Random(5151)
     cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
     pairs = [(d1, d2) for d1 in cases for d2 in cases if d1.v == d2.v]
@@ -467,7 +476,9 @@ def test_pair_profiles_against_known_keys(built):
         keys1 = {k for row in prof1 for k in row}
         got = _edge_codes(d1, d2)
         if keys1 >= {k for row in prof2 for k in row}:
-            rank = {k: i * d1.v for i, k in enumerate(sorted(keys1))}
+            upper = dict.fromkeys(k for x, row in enumerate(prof1) for k in row[x + 1:])
+            rank = {k: i * d1.v for i, k in enumerate(upper, 1)}
+            rank[-1, ()] = 0
             assert got == tuple([[rank[k] for k in row] for row in prof] for prof in (prof1, prof2))
         else:
             assert got is None
@@ -475,9 +486,9 @@ def test_pair_profiles_against_known_keys(built):
     assert stopped >= 50, stopped
 
 
-def test_search_matches_reference(built):
-    """The same witness, not just a valid one: colour ids and branch order
-    are unchanged."""
+def _reference_corpus(built):
+    """Two 40-point designs that are not isomorphic, and each built design
+    and complement against two seeded relabellings."""
     rng = random.Random(606)
     pairs = [(built["pg33"], built["higman40"])]
     for kind in KINDS:
@@ -486,8 +497,33 @@ def test_search_matches_reference(built):
                 perm = list(range(d.v))
                 rng.shuffle(perm)
                 pairs.append((d, relabel(d, perm)))
-    for d1, d2 in pairs:
-        assert find_isomorphism(d1, d2) == reference_find_isomorphism(d1, d2)
+    return pairs
+
+
+def test_search_matches_reference(built):
+    """The same yes/no as the reference search, and a valid witness: colour
+    ids are labels, not ranks, so the witness itself may differ."""
+    for d1, d2 in _reference_corpus(built):
+        got = find_isomorphism(d1, d2)
+        assert (got is None) == (reference_find_isomorphism(d1, d2) is None)
+        assert got is None or is_isomorphism(d1, d2, got)
+
+
+def test_search_leaves_within_reference(monkeypatch, built):
+    """Labelling colours by first appearance does not grow the search tree:
+    on the same pairs the search reaches no more leaves than the reference
+    search with its ranked ids."""
+    leaves = Counter()
+    for cls in (_IsoSearch, ReferenceIsoSearch):
+        def counted(self, col1, col2, cls=cls, extract=cls._extract):
+            leaves[cls] += 1
+            return extract(self, col1, col2)
+
+        monkeypatch.setattr(cls, "_extract", counted)
+    for d1, d2 in _reference_corpus(built):
+        find_isomorphism(d1, d2)
+        reference_find_isomorphism(d1, d2)
+    assert 0 < leaves[_IsoSearch] <= leaves[ReferenceIsoSearch], leaves
 
 
 def _random_replicated_structure(rng):
@@ -524,9 +560,11 @@ def test_search_matches_reference_on_random_structures():
         shuffled = relabel(d, perm)
         other = _same_block_sizes(rng, d)
         witness = find_isomorphism(d, shuffled)
-        assert witness is not None and witness == reference_find_isomorphism(d, shuffled), d
+        assert witness is not None and is_isomorphism(d, shuffled, witness), d
+        assert reference_find_isomorphism(d, shuffled) is not None, d
         got = find_isomorphism(d, other)
-        assert got == reference_find_isomorphism(d, other), (d, other)
+        assert (got is None) == (reference_find_isomorphism(d, other) is None), (d, other)
+        assert got is None or is_isomorphism(d, other, got), (d, other)
         if _edge_codes(d, other) is None:
             early += 1
             assert got is None
@@ -598,8 +636,8 @@ def test_search_agrees_with_brute_force_on_irregular_structures():
 
 
 def test_refine_matches_counter_refine(built):
-    """The grouped refinement gives the colour ids that counting every
-    point's signature gave, on the same edge codes."""
+    """The grouped refinement gives the partitions that counting every
+    point's signature gave, on edge codes with the same classes."""
     rng = random.Random(4242)
     cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
     cases += [_random_structure(rng) for _ in range(40)]
@@ -611,7 +649,8 @@ def test_refine_matches_counter_refine(built):
         codes = _edge_codes(d1, d2)
         new = _IsoSearch(d1, d2, *codes)
         old = CounterRefineIsoSearch(d1, d2)
-        assert codes == (old.en1, old.en2)
+        flat = [[e for row in en for e in row] for en in (*codes, old.en1, old.en2)]
+        assert first_appearance(flat[:2]) == first_appearance(flat[2:])
         for _ in range(5):
             colours = rng.randint(1, n)
             col1 = [rng.randrange(colours) for _ in range(n)]
@@ -620,19 +659,15 @@ def test_refine_matches_counter_refine(built):
                 col2[y] = col1[x]
             unrelated = rng.sample(col1, n)
             for c1, c2 in ((col1, col2), (col1, unrelated)):
-                assert new._refine(c1, c2) == old._refine(c1, c2), d1
+                assert first_appearance(new._refine(c1, c2)) == first_appearance(
+                    old._refine(c1, c2)
+                ), d1
 
 
-def test_refine_matches_counter_refine_wide_fields():
-    """At v = 300 a colour count can pass 255, so a count field needs two
-    bytes.  The edge matrices are given directly: id 1 off the diagonal, id
-    2 on the pairs of points 0 and 1 with the points listed below.  In one
-    colour, point 0 sees 260 points on id 1 and point 1 sees 5, so point 1
-    ranks first; a one-byte field would read 260 as 4.  The reference
-    object is built without reference_pair_profiles, which is cubic in v."""
-    n = 300
-    rng = random.Random(3003)
-    second = {0: [*range(2, 21), *range(280, 300)], 1: [*range(2, 277), *range(280, 299)]}
+def _wide_edge_codes(n, second, rng):
+    """Edge matrices given directly: id 1 off the diagonal, id 2 on the
+    pairs of each point x of second with the points second[x]; d2's are
+    d1's relabelled by the returned permutation."""
     en1 = [[n * (x != y) for y in range(n)] for x in range(n)]
     for x, ys in second.items():
         for y in ys:
@@ -643,22 +678,45 @@ def test_refine_matches_counter_refine_wide_fields():
     for x in range(n):
         for y in range(n):
             en2[perm[x]][perm[y]] = en1[x][y]
-    empty = IncidenceStructure(n, ())
-    new = _IsoSearch(empty, empty, en1, en2)
-    old = CounterRefineIsoSearch.__new__(CounterRefineIsoSearch)
-    old.n, old.en1, old.en2 = n, en1, en2
+    return en1, en2, perm
+
+
+def test_refine_matches_counter_refine_wide_fields():
+    """At v = 300 a colour count can pass 255.  In one colour, point 0 sees
+    260 points on id 1 and point 1 sees 5.  A run that is not a row's
+    longest holds at most (v - 1) / 2 points, so at v = 300 no packed sum
+    overflows a byte; at v = 516 the id-2 run of points 0 and 1 holds 257.
+    Point 0 sees 256 points of colour 1 and one of colour 3 there, and
+    point 1 sees 257 of colour 2: with one-byte fields both sums would be
+    2^16 + 2^24 and the two points would stay in one class.  Every colouring
+    splits points 0 and 1.  The reference object is built without
+    reference_pair_profiles, which is cubic in v."""
+    rng = random.Random(3003)
+    n = 300
+    second = {0: [*range(2, 21), *range(280, 300)], 1: [*range(2, 277), *range(280, 299)]}
     colourings = [[0] * n, [int(x >= 280) for x in range(n)]]
     colourings += [[rng.randrange(colours) for _ in range(n)] for colours in (2, 3, 40)]
-    refined = []
-    for col1 in colourings:
-        col2 = [0] * n
-        for x, y in enumerate(perm):
-            col2[y] = col1[x]
-        refined.append(new._refine(col1, col2))
-        assert refined[-1] == old._refine(col1, col2)
-        unrelated = rng.sample(col1, n)
-        assert new._refine(col1, unrelated) == old._refine(col1, unrelated)
-    assert refined[0] is not None and refined[0][0][1] < refined[0][0][0]
+    cases = [(n, second, colourings)]
+    n = 516
+    second = {0: [*range(2, 258), 515], 1: [*range(258, 515)]}
+    cases.append((n, second, [[0, 0] + [1] * 256 + [2] * 257 + [3]]))
+    for n, second, colourings in cases:
+        en1, en2, perm = _wide_edge_codes(n, second, rng)
+        empty = IncidenceStructure(n, ())
+        new = _IsoSearch(empty, empty, en1, en2)
+        old = CounterRefineIsoSearch.__new__(CounterRefineIsoSearch)
+        old.n, old.en1, old.en2 = n, en1, en2
+        for col1 in colourings:
+            col2 = [0] * n
+            for x, y in enumerate(perm):
+                col2[y] = col1[x]
+            refined = new._refine(col1, col2)
+            assert first_appearance(refined) == first_appearance(old._refine(col1, col2))
+            assert refined is not None and refined[0][0] != refined[0][1]
+            unrelated = rng.sample(col1, n)
+            assert first_appearance(new._refine(col1, unrelated)) == first_appearance(
+                old._refine(col1, unrelated)
+            )
 
 
 def test_flat_anchor_signature_matches_nested(built):
