@@ -16,10 +16,10 @@ makes the polarity explicit and the incidence matrix symmetric;
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
-from operator import add, lt, mul
+from itertools import compress, islice, repeat
+from operator import add, itemgetter, lt, not_
 from struct import Struct
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import geometry
 from .geometry import ISOTROPIC, NONSQUARE_TYPE, SQUARE_TYPE
@@ -97,11 +97,13 @@ def build(kind: str) -> IncidenceStructure:
         raise ValueError(f"unknown design kind {kind!r}; expected one of {KINDS}")
     space = geometry.design_space()
     points = geometry.class_points(KIND_POINT_CLASS[kind])
-    # B(x, y) is the dot product of y with x's Gram row x^T G
-    grams = [space.gram_row(x) for x in points]
+    # B(x, y) is the dot product of y with x's Gram row x^T G; the packed dot
+    # products with the rows of G give every point's Gram row, and those
+    # with a Gram row give its products with every point
+    dots = geometry._dot_products(points, space.p)
+    every = range(len(points))
     blocks = tuple(
-        tuple(j for j, y in enumerate(points) if not sum(map(mul, gx, y)) % space.p)
-        for gx in grams
+        tuple(compress(every, map(not_, dots(gx)))) for gx in zip(*map(dots, space.gram))
     )
     return IncidenceStructure(len(points), blocks)
 
@@ -221,6 +223,9 @@ def is_isomorphism(
 # matrices once per search: the points of the ids that occur once in the
 # row, and the runs of the other ids.  An edge round keys each point by the
 # colours of the former and a packed sum of colour counts per run, no sort.
+# Rows of one shape (the same sorted ids) share their layout, so each
+# design's rows are held as columns, one per position of each shape, and
+# the keys of a shape's points come from one zip over its columns.
 # ---------------------------------------------------------------------------
 
 
@@ -312,14 +317,14 @@ def _pair_profiles(design: IncidenceStructure) -> tuple[list[int], list[tuple]]:
 def _edge_codes(
     d1: IncidenceStructure, d2: IncidenceStructure
 ) -> Optional[tuple[list[list[int]], list[list[int]]]]:
-    """Per design, the v x v matrix of e * v at (x, y), e the number of the
+    """Per design, the v x v matrix of e at (x, y), e the number of the
     pair's profile among d1's in order of first appearance, counted from 1,
     and 0 on the diagonal, built once from the design's pair codes.  None,
     before any matrix is built, when d2 has a profile that d1 lacks."""
     n = d1.v
     codes1, keys1 = _pair_profiles(d1)
     codes2, keys2 = _pair_profiles(d2)
-    rank = {k: i * n for i, k in enumerate(keys1, 1)}
+    rank = {k: i for i, k in enumerate(keys1, 1)}
     if not rank.keys() >= set(keys2):
         return None
 
@@ -382,20 +387,30 @@ class _IsoSearch:
                 start += k
             return len(shapes), once, slices
 
-        def rows(en: list[list[int]]) -> list[tuple]:
-            # per point x: its row's shape number, the y whose id occurs once
-            # and the y of each run but the longest, all in order of id
-            out = []
-            for row in en:
+        def rows(en: list[list[int]]) -> tuple[list[tuple], Optional[itemgetter]]:
+            # per shape, in order of first appearance: its number, its point
+            # count, and per position a column over its points x: the y whose
+            # id occurs once and the y of each run but the longest in x's row,
+            # in order of id.  The getter puts keys laid out shape by shape
+            # back in point order; None when they already are.
+            by_shape: dict[int, tuple[list, list, list]] = {}
+            for x, row in enumerate(en):
                 order = sorted(range(n), key=row.__getitem__)
                 ids = tuple(map(row.__getitem__, order))
                 shape = shapes.get(ids)
                 if shape is None:
                     shape = shapes[ids] = layout(ids)
                 r, once, slices = shape
-                singles = order if once is None else list(map(order.__getitem__, once))
-                out.append((r, singles, [order[s] for s in slices]))
-            return out
+                xs, singles, groups = by_shape.setdefault(r, ([], [], []))
+                xs.append(x)
+                singles.append(order if once is None else list(map(order.__getitem__, once)))
+                groups.append([order[s] for s in slices])
+            laid = [x for xs, _, _ in by_shape.values() for x in xs]
+            columns = [(r, len(xs), list(zip(*singles)), list(zip(*groups)))
+                       for r, (xs, singles, groups) in by_shape.items()]
+            if laid == sorted(laid):
+                return columns, None
+            return columns, itemgetter(*sorted(range(n), key=laid.__getitem__))
 
         self.rows1 = rows(en1)
         self.rows2 = rows(en2)
@@ -409,15 +424,6 @@ class _IsoSearch:
             return None
         ids = {s: i for i, s in enumerate(dict.fromkeys(sig1))}
         col1, col2 = [ids[s] for s in sig1], [ids[s] for s in sig2]
-        units = self.units
-
-        def keys(rows: list, col: list[int]) -> list[tuple[int, ...]]:
-            colour = col.__getitem__
-            bit = list(map(units.__getitem__, col)).__getitem__
-            return [
-                (r, *map(colour, singles), *[sum(map(bit, group)) for group in groups])
-                for r, singles, groups in rows
-            ]
 
         # An edge round keys point x by its row's layout: the shape number,
         # the colours of the y whose id occurs once in the row (y = x first:
@@ -437,7 +443,7 @@ class _IsoSearch:
         # so it is no isomorphism and _extract rejects the same branch.
         classes = len(ids)
         while classes < self.n:
-            keys1, keys2 = keys(self.rows1, col1), keys(self.rows2, col2)
+            keys1, keys2 = self._keys(self.rows1, col1), self._keys(self.rows2, col2)
             tally = Counter(keys1)
             if not dict.__eq__(tally, Counter(keys2)):
                 return None
@@ -448,6 +454,18 @@ class _IsoSearch:
             col2 = list(map(ids.__getitem__, keys2))
             classes = len(ids)
         return col1, col2
+
+    def _keys(self, rows: tuple, col: list[int]) -> Sequence[tuple[int, ...]]:
+        # one zip per shape over its columns, each key as the comment in
+        # _refine says, then back in point order
+        columns, restore = rows
+        colour = col.__getitem__
+        bit = list(map(self.units.__getitem__, col)).__getitem__
+        out: list[tuple[int, ...]] = []
+        for r, m, singles, groups in columns:
+            out += zip(repeat(r, m), *map(map, repeat(colour), singles),
+                       *[map(sum, map(map, repeat(bit), column)) for column in groups])
+        return out if restore is None else restore(out)
 
     def _extract(self, col1: list[int], col2: list[int]) -> Optional[list[int]]:
         image = {}

@@ -9,13 +9,21 @@ type, and the identity form realises the 36/45 split the other way
 around.  (Scaling the form does not change the orthogonal group in odd
 dimension, so the induced groups are unaffected.)  ``projective_points``
 and ``pg_hyperplanes`` take any prime p.  Points are normal-form tuples.
+
+Dot products with a whole point list are taken on packed columns: column j
+of the list, reduced mod p, is one int with a little-endian field per point,
+the smallest of 1, 2, 4 or 8 bytes that holds dim * (p - 1)^2.  With the
+coefficients reduced mod p too, no field of a sum of columns times
+coefficients can carry into the next, so one sum, one ``Struct.unpack`` and
+one reduction per field give the products with every point.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import mul
-from typing import NamedTuple
+from operator import mul, not_
+from struct import Struct
+from typing import Callable, Iterable, NamedTuple
 
 from .exactmath import is_prime
 
@@ -50,6 +58,25 @@ def projective_points(dim: int, p: int) -> list[tuple[int, ...]]:
         for vec in itertools.product(range(p), repeat=dim)
         if next(filter(None, vec), 0) == 1
     ]
+
+
+def _dot_products(
+    points: list[tuple[int, ...]], p: int
+) -> Callable[[tuple[int, ...]], Iterable[int]]:
+    """The function taking a coefficient vector c to sum(c_i * x_i) % p for
+    every point x, in list order, by packed columns (see the module
+    docstring).  Shorter points read as zero-padded, as a per-point
+    sum(map(mul, c, x)) reads them."""
+    columns = list(itertools.zip_longest(*points, fillvalue=0))
+    size = next((s for s in (1, 2, 4, 8) if len(columns) * (p - 1) ** 2 < 1 << 8 * s), 0)
+    if p < 2 or not size:  # no modulus, or fields past 8 bytes: p > 2^32 / sqrt(dim)
+        return lambda c: [sum(map(mul, c, x)) % p for x in points]
+    fields = Struct(f"<{len(points)}{'BHIQ'[size.bit_length() - 1]}")
+    packed = [int.from_bytes(fields.pack(*map(p.__rmod__, col)), "little") for col in columns]
+    unpack, span = fields.unpack, fields.size
+    return lambda c: map(
+        p.__rmod__, unpack(sum(map(mul, map(p.__rmod__, c), packed)).to_bytes(span, "little"))
+    )
 
 
 class _OrthogonalSpace(NamedTuple):
@@ -96,8 +123,10 @@ def classify_point(space: _OrthogonalSpace, x: tuple[int, ...]) -> str:
     Well defined on the projective point: rescaling multiplies the form
     value by a square.
     """
-    p = space.p
-    value = space.form(x)
+    return _value_class(space.form(x), space.p)
+
+
+def _value_class(value: int, p: int) -> str:
     if value == 0:
         return ISOTROPIC
     if pow(value, (p - 1) // 2, p) == 1:
@@ -112,9 +141,15 @@ def class_points(point_class: str) -> list[tuple[int, ...]]:
     if point_class not in (ISOTROPIC, SQUARE_TYPE, NONSQUARE_TYPE):
         raise ValueError(f"unknown point class {point_class!r}")
     space = design_space()
-    return [
-        pt for pt in projective_points(5, 3) if classify_point(space, pt) == point_class
-    ]
+    p = space.p
+    points = projective_points(5, p)
+    wanted = [_value_class(value, p) == point_class for value in range(p)]
+    # x^T G x is x dotted with its Gram row, and the packed dot products with
+    # the rows of G give every point's Gram row at once
+    grams = zip(*map(_dot_products(points, p), space.gram))
+    return list(itertools.compress(
+        points, [wanted[sum(map(mul, x, gx)) % p] for x, gx in zip(points, grams)]
+    ))
 
 
 def reflection(space: _OrthogonalSpace, v: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -143,8 +178,7 @@ def pg_hyperplanes(dim: int, p: int) -> list[list[int]]:
     if dim < 2:
         raise ValueError("dim must be >= 2")
     points = projective_points(dim, p)
+    dots = _dot_products(points, p)
+    every = range(len(points))
     # dual points enumerate the hyperplanes
-    return [
-        [i for i, x in enumerate(points) if sum(map(mul, h, x)) % p == 0]
-        for h in points
-    ]
+    return [list(itertools.compress(every, map(not_, dots(h)))) for h in points]

@@ -107,17 +107,18 @@ def induce(
         if any(c) and all(0 <= x < p for x in c) and next(filter(None, c)) == 1:
             for s in range(1, p):
                 index[tuple(x * s % p for x in c)] = i
+    # The images of all points come from the packed dot products with the
+    # rows of the matrix; the first point without one is named from its
+    # own products, and an empty matrix maps every point to ()
+    dots = geometry._dot_products(points, p)
     gens = []
     for m in matrices:
-        images = []
-        for c in points:
-            w = tuple(sum(map(mul, row, c)) % p for row in m)
-            j = index.get(w)
-            if j is None:
-                if not any(w):
-                    raise ValueError("zero vector has no projective normal form")
-                raise ValueError(f"matrix maps ({':'.join(map(str, c))}) outside the point set")
-            images.append(j)
+        images = [*map(index.get, zip(*map(dots, m)))] if m else [None]
+        if None in images:
+            c = points[images.index(None)]
+            if not any(sum(map(mul, row, c)) % p for row in m):
+                raise ValueError("zero vector has no projective normal form")
+            raise ValueError(f"matrix maps ({':'.join(map(str, c))}) outside the point set")
         gens.append(tuple(images))
     return PermutationAction(len(points), tuple(gens))
 

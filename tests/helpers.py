@@ -63,6 +63,12 @@ ran as a separate ``_renumber``, so the inherited ``search`` can hand it
 the anchor signatures.  ``first_appearance`` relabels a pair of
 colourings so that the live ids and these ranked ones compare as partitions.
 
+``RowKeysIsoSearch`` is the search as it built each edge-round key row by
+row, one tuple per point from that point's own layout, before each
+design's rows were laid out as per-shape columns; everything else is
+inherited, so agreement with ``_IsoSearch`` checks the colour ids
+themselves, not only the partitions.
+
 ``reference_anchor_signature`` is the anchor signature as
 ``_IsoSearch.search`` built it before ``designs._anchor_signature``: a
 nested tuple (colour, anchor flag, tuple of triple counts) per point, from
@@ -76,6 +82,9 @@ predicates before they took ``min``/``max`` and ``all(map(lt, ...))``.
 ``reference_build`` and ``reference_induce`` are ``designs.build`` and
 ``permgroup.induce`` as they read the bilinear form and normalised each
 image, before Gram-row dot products and the table of point multiples.
+``reference_pg_hyperplanes`` is ``geometry.pg_hyperplanes`` as it took one
+dot product per (hyperplane, point) pair, before the packed columns of
+``geometry._dot_products``.
 
 ``reference_stabilizer_chain``, ``reference_is_primitive``,
 ``reference_stabilizer_orbit_sizes``, ``reference_induced_block_action`` and
@@ -113,7 +122,7 @@ import math
 from collections import Counter
 from itertools import permutations, product
 from math import gcd, isqrt
-from operator import add
+from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
 from psu4designs import catalog, geometry
@@ -603,6 +612,54 @@ def first_appearance(
     return [ids.setdefault(c, len(ids)) for c in (*refined[0], *refined[1])]
 
 
+class RowKeysIsoSearch(_IsoSearch):
+    """The search with its edge-round keys built per point from the point's
+    own row layout; the rest, the shape numbers included, is inherited."""
+
+    def __init__(self, d1, d2, en1, en2) -> None:
+        super().__init__(d1, d2, en1, en2)
+        n = self.n
+        shapes: dict[tuple[int, ...], tuple] = {}
+
+        def layout(ids: tuple[int, ...]) -> tuple:
+            if len(set(ids)) == n:
+                return len(shapes), None, ()
+            count = Counter(ids)
+            longest = max(count, key=count.__getitem__)
+            once, slices, start = [], [], 0
+            for e, k in count.items():
+                if k == 1:
+                    once.append(start)
+                elif e != longest:
+                    slices.append(slice(start, start + k))
+                start += k
+            return len(shapes), once, slices
+
+        def rows(en: list[list[int]]) -> list[tuple]:
+            out = []
+            for row in en:
+                order = sorted(range(n), key=row.__getitem__)
+                ids = tuple(map(row.__getitem__, order))
+                shape = shapes.get(ids)
+                if shape is None:
+                    shape = shapes[ids] = layout(ids)
+                r, once, slices = shape
+                singles = order if once is None else list(map(order.__getitem__, once))
+                out.append((r, singles, [order[s] for s in slices]))
+            return out
+
+        self.rows1 = rows(en1)
+        self.rows2 = rows(en2)
+
+    def _keys(self, rows: list, col: list[int]) -> list[tuple[int, ...]]:
+        colour = col.__getitem__
+        bit = list(map(self.units.__getitem__, col)).__getitem__
+        return [
+            (r, *map(colour, singles), *[sum(map(bit, group)) for group in groups])
+            for r, singles, groups in rows
+        ]
+
+
 def reference_anchor_signature(
     masks: list[int], col: list[int], anchors: tuple[int, ...], x: int
 ) -> list[tuple]:
@@ -635,6 +692,14 @@ def reference_build(kind: str) -> IncidenceStructure:
         for x in points
     )
     return IncidenceStructure(len(points), blocks)
+
+
+def reference_pg_hyperplanes(dim: int, p: int) -> list[list[int]]:
+    points = geometry.projective_points(dim, p)
+    return [
+        [i for i, x in enumerate(points) if sum(map(mul, h, x)) % p == 0]
+        for h in points
+    ]
 
 
 def normalize(vec: tuple[int, ...], p: int) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     CounterRefineIsoSearch,
     ReferenceIsoSearch,
+    RowKeysIsoSearch,
     brute_force_isomorphic,
     first_appearance,
     flags,
@@ -456,7 +457,7 @@ def test_pair_profiles_match_reference(built):
 
 def test_pair_profiles_against_known_keys(built):
     """_edge_codes returns None exactly when d2 has a profile that d1 lacks,
-    and otherwise the matrices of d1's profile numbers times v, read from
+    and otherwise the matrices of d1's profile numbers, read from
     the full reference profiles: d1's profiles count from 1 in order of
     first appearance over the pairs x < y, and the diagonal's (-1, ()) is 0."""
     rng = random.Random(5151)
@@ -477,7 +478,7 @@ def test_pair_profiles_against_known_keys(built):
         got = _edge_codes(d1, d2)
         if keys1 >= {k for row in prof2 for k in row}:
             upper = dict.fromkeys(k for x, row in enumerate(prof1) for k in row[x + 1:])
-            rank = {k: i * d1.v for i, k in enumerate(upper, 1)}
+            rank = {k: i for i, k in enumerate(upper, 1)}
             rank[-1, ()] = 0
             assert got == tuple([[rank[k] for k in row] for row in prof] for prof in (prof1, prof2))
         else:
@@ -662,6 +663,39 @@ def test_refine_matches_counter_refine(built):
                 assert first_appearance(new._refine(c1, c2)) == first_appearance(
                     old._refine(c1, c2)
                 ), d1
+
+
+def test_columnar_keys_match_row_keys(built):
+    """The keys laid out by shape columns equal the keys built row by row,
+    point by point, so every refinement gives the same colour ids, not only
+    the same partition.  The built designs have one row shape each; on the
+    path P7 the end points' shape interleaves with the inner points', so
+    the keys go back to point order through the restoring getter."""
+    rng = random.Random(3636)
+    path = IncidenceStructure(7, tuple((x, x + 1) for x in range(6)))
+    cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
+    cases += [path] + [_random_structure(rng) for _ in range(60)]
+    layouts = Counter()
+    for d1 in cases:
+        n = d1.v
+        perm = list(range(n))
+        rng.shuffle(perm)
+        d2 = relabel(d1, perm)
+        codes = _edge_codes(d1, d2)
+        new = _IsoSearch(d1, d2, *codes)
+        old = RowKeysIsoSearch(d1, d2, *codes)
+        layouts[len(new.rows1[0]) == 1, new.rows1[1] is None] += 1
+        for _ in range(5):
+            col1 = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+            col2 = [0] * n
+            for x, y in enumerate(perm):
+                col2[y] = col1[x]
+            assert list(new._keys(new.rows1, col1)) == old._keys(old.rows1, col1), d1
+            assert list(new._keys(new.rows2, col2)) == old._keys(old.rows2, col2), d1
+            for c2 in (col2, rng.sample(col1, n)):
+                assert new._refine(col1, c2) == old._refine(col1, c2), d1
+    assert layouts[True, True] >= 8 and layouts[False, False] >= 10, layouts
+    assert _IsoSearch(path, path, *_edge_codes(path, path)).rows1[1] is not None
 
 
 def _wide_edge_codes(n, second, rng):

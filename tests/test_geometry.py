@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
-from helpers import normalize, reference_projective_points
+from helpers import normalize, reference_pg_hyperplanes, reference_projective_points
 
 from psu4designs.exactmath import is_prime
 from psu4designs.geometry import (
+    _dot_products,
     ISOTROPIC,
     NONSQUARE_TYPE,
     SQUARE_TYPE,
@@ -163,3 +165,35 @@ def test_pg_hyperplanes_fano():
             assert len(set(blocks[i]) & set(blocks[j])) == 1
     with pytest.raises(ValueError, match="dim must be >= 2"):
         pg_hyperplanes(1, 3)
+
+
+@pytest.mark.parametrize("dim, p", [(3, 2), (4, 3), (5, 3), (3, 5), (3, 17)])
+def test_packed_dot_products_match_per_point(dim, p):
+    """One packed sum against a per-point dot product, on every point of
+    PG(dim-1, p), for coefficients that are negative or at least p.  At
+    p = 17 a field holds up to 3 * 16^2 = 768, so it needs two bytes."""
+    rng = random.Random(dim * 100 + p)
+    points = projective_points(dim, p)
+    dots = _dot_products(points, p)
+    vectors = [tuple(rng.randint(-3 * p, 3 * p) for _ in range(dim)) for _ in range(30)]
+    vectors += [(p - 1,) * dim, (1 - p,) * dim, (2 * p - 1,) * dim, (0,) * dim]
+    for c in vectors:
+        assert list(dots(c)) == [sum(map(mul, c, x)) % p for x in points], c
+
+
+def test_packed_dot_products_edge_inputs():
+    """Points of mixed length read as zero-padded, as the per-point product
+    reads them; coordinates at least p are reduced; a modulus whose fields
+    would pass 8 bytes takes the per-point path."""
+    mixed = [(1, 4, 2), (3,), (), (2, 2)]
+    for c in [(1, 2, 3), (4,), (-1, 5, 0, 7), ()]:
+        assert list(_dot_products(mixed, 5)(c)) == [sum(map(mul, c, x)) % 5 for x in mixed]
+    p = 2**61 - 1
+    points = [(1, 0), (0, 1), (1, p - 1), (3, 2)]
+    for c in [(p - 1, p - 2), (-5, 3 * p + 1)]:
+        assert list(_dot_products(points, p)(c)) == [sum(map(mul, c, x)) % p for x in points]
+
+
+@pytest.mark.parametrize("dim, p", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (3, 5), (2, 7), (3, 17)])
+def test_pg_hyperplanes_match_reference(dim, p):
+    assert pg_hyperplanes(dim, p) == reference_pg_hyperplanes(dim, p)

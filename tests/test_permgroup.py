@@ -106,11 +106,24 @@ _DROP_FIRST = tuple(tuple(1 if i == j > 0 else 0 for j in range(5)) for i in ran
     ([_IDENT], [(2, 0, 0, 0, 0)], "outside the point set"),
     ([_IDENT], [(1, 3, 0, 0, 0)], "outside the point set"),
     ([_IDENT], projective_points(5, 3) + projective_points(5, 3)[:1], "not a permutation"),
-], ids=["wrong-set", "zero-image", "empty", "scaled", "unreduced", "repeated"])
+    # the first point without an image has a coordinate at least p, and
+    # the message names it as listed
+    ([_IDENT], projective_points(5, 3)[:4] + [(1, 5, 0, 0, 0)], "matrix maps (1:5:0:0:0) outside the point set"),
+    ([_DROP_FIRST], [(0, 0, 0, 0, 1), (4, 0, 0, 0, 0)], "zero vector has no projective normal form"),
+], ids=["wrong-set", "zero-image", "empty", "scaled", "unreduced", "repeated", "past-p-outside", "past-p-zero"])
 def test_induce_errors_match_reference(matrices, points, message):
     got = _outcome(induce, matrices, points, 3)
     assert got == _outcome(reference_induce, matrices, points, 3)
     assert message in got
+
+
+def test_induce_empty_matrix_maps_to_zero_vector():
+    """A matrix with no rows maps every point to (), the zero vector of
+    dimension 0, as the per-point products did (the reference indexes rows
+    by the point length, so it cannot take this input)."""
+    with pytest.raises(ValueError) as info:
+        induce([_IDENT, ()], projective_points(5, 3), 3)
+    assert str(info.value) == "zero vector has no projective normal form"
 
 
 def test_reflection_fixed_points_on_menon_set():
