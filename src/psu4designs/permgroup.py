@@ -1,21 +1,17 @@
 """Small-degree permutation group engine.
 
-Permutations are image tuples: g maps i to g[i].  Everything here is sized
-for the degree-45-and-below actions the design checks need; group_order
-guards against misuse at degrees beyond 10^4, where a serious stabilizer
-chain implementation would be called for.
-
-Composition runs through ``operator.itemgetter``, which picks all the images
-in one C call.  Both group checks are orbit closures: primitivity takes the
-orbit of 0 under the stabilizer of 0 and one coset representative per
-suborbit (the blocks through 0 are the orbits of 0 under the overgroups of
-the stabilizer, Dixon & Mortimer, Permutation Groups, Thm 1.5A), and
-flag-transitivity takes one flag's orbit under the generator pairs acting
-on the flags coded as integers.
+Permutations are image tuples: g maps i to g[i], and composition picks all
+the images in one ``operator.itemgetter`` call.  Stabilizer chains come from
+deterministic Schreier-Sims with sifting: a Schreier generator joins the
+strong generators only when it does not sift to the identity.  Primitivity
+and flag-transitivity are orbit closures.  The chain, primitivity and
+suborbit queries guard against degrees beyond 10^4.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -148,6 +144,22 @@ def _orbits(gens: Sequence[Permutation], n: int) -> list[set[int]]:
     return out
 
 
+def _grow(gens: list[tuple[Permutation, Permutation]], trans: dict[int, Permutation],
+          inv: dict[int, Permutation], checked: set[tuple[int, int]]) -> None:
+    """Extend the transversal (t_a maps the base point to a) and its inverses
+    by the (generator, inverse) pairs, breadth first from the points already
+    in it.  The pair (a, k) that adds b is checked: t_a gens[k] t_b^-1 = 1."""
+    queue = list(trans)
+    for a in queue:  # the queue grows as the loop reads it
+        ta, ia = trans[a], inv[a]
+        for k, (g, g_inv) in enumerate(gens):
+            b = g[a]
+            if b not in trans:
+                trans[b], inv[b] = compose(ta, g), compose(g_inv, ia)
+                checked.add((a, k))
+                queue.append(b)
+
+
 def _stabilizer(
     gens: Sequence[Permutation], point: int, n: int
 ) -> tuple[dict[int, Permutation], list[Permutation]]:
@@ -155,18 +167,10 @@ def _stabilizer(
     sorted, deduplicated nontrivial Schreier generators t_{g(a)}^-1 t_a g of
     its stabilizer (Seress, Permutation Group Algorithms, 2003, 4.1)."""
     ident = identity_perm(n)
-    trans = {point: ident}
-    queue = [point]
-    for a in queue:  # breadth first: the queue grows as the loop reads it
-        ta = trans[a]
-        for g in gens:
-            b = g[a]
-            if b not in trans:
-                trans[b] = compose(ta, g)
-                queue.append(b)
+    trans, inv = {point: ident}, {point: ident}
+    _grow([(g, inverse(g)) for g in gens], trans, inv, set())
     if n < 2:
         return trans, []  # the only permutation of degree 0 or 1 is the identity
-    inv = {b: inverse(t) for b, t in trans.items()}
     out = set()
     for a, t in trans.items():
         # ta(g) is compose(t_a, g); picking its images out of inv[g[a]]
@@ -188,23 +192,56 @@ class StabilizerChain(NamedTuple):
 
 
 def stabilizer_chain(action: PermutationAction) -> StabilizerChain:
+    """Deterministic Schreier-Sims with sifting (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005, 4.4).  From the deepest
+    level up, each Schreier generator t_a s t_{s(a)}^-1 is sifted through
+    the levels below; a residue h != 1 that stops at level j joins the
+    levels down to j, past the last one at the least point h moves, and the
+    work resumes at level j."""
     n = action.degree
     if n > 10_000:
         raise ValueError("degree beyond the desk-scale guard (10^4)")
     ident = identity_perm(n)
     gens = sorted({g for g in action.generators if g != ident})
-    base = []
-    transversals = []
-    order = 1
-    while gens:
+    # per level: base point, strong generators with inverses (append-only, so
+    # a checked (point, generator index) pair keeps its meaning), transversal
+    # and its inverses, checked pairs
+    base, strong, trans, inv, checked = [], [], [], [], []
+
+    def join(hs: list[Permutation], levels: range, point: int) -> None:
+        if levels.stop > len(base):  # a new level at the point
+            base.append(point)
+            strong.append([])
+            trans.append({point: ident})
+            inv.append({point: ident})
+            checked.append(set())
+        pairs = [(h, inverse(h)) for h in hs]
+        for j in levels:
+            strong[j] += pairs
+            _grow(strong[j], trans[j], inv[j], checked[j])
+
+    if gens:
         # the least point of the first largest orbit; nontrivial generators
         # always move some point, so this orbit has at least two points
-        beta = min(max(_orbits(gens, n), key=len))
-        trans, gens = _stabilizer(gens, beta, n)
-        base.append(beta)
-        transversals.append(trans)
-        order *= len(trans)
-    return StabilizerChain(tuple(base), tuple(transversals), order)
+        join(gens, range(1), min(max(_orbits(gens, n), key=len)))
+    i = len(base) - 1
+    while i >= 0:
+        for (a, t), (k, (s, _)) in product(trans[i].items(), enumerate(strong[i])):
+            if (a, k) in checked[i]:
+                continue
+            checked[i].add((a, k))
+            # strip t_a s level by level until it equals its transversal
+            # element (it sifts) or its base image leaves the orbit
+            h, j = compose(t, s), i
+            while j < len(base) and (b := h[base[j]]) in trans[j] and h != trans[j][b]:
+                h, j = compose(h, inv[j][b]), j + 1
+            if j == len(base) or b not in trans[j]:
+                join([h], range(i + 1, j + 1), next(x for x, y in enumerate(h) if x != y))
+                i = j
+                break
+        else:
+            i -= 1
+    return StabilizerChain(tuple(base), tuple(trans), prod(map(len, trans)))
 
 
 def group_order(action: PermutationAction) -> int:
@@ -275,6 +312,8 @@ def is_primitive(action: PermutationAction) -> bool:
     n = action.degree
     if not n:
         raise ValueError("seed out of range")  # degree 0 has no point 0
+    if n > 10_000:
+        raise ValueError("degree beyond the desk-scale guard (10^4)")
     if len(_closure(action.generators, 0)) != n:
         raise NotTransitiveError("action is not transitive")
     trans, stab = _stabilizer(action.generators, 0, n)
@@ -294,6 +333,8 @@ def stabilizer_orbit_sizes(action: PermutationAction, point: int) -> list[int]:
     n = action.degree
     if not 0 <= point < n:
         raise ValueError("point out of range")
+    if n > 10_000:
+        raise ValueError("degree beyond the desk-scale guard (10^4)")
     if len(_closure(action.generators, point)) != n:
         raise NotTransitiveError("action is not transitive")
     _, stab = _stabilizer(action.generators, point, n)

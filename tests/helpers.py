@@ -98,6 +98,11 @@ union-find that closed each of those blocks in ``permgroup`` too, before
 primitivity became one orbit of 0 per suborbit under the stabilizer of 0
 and a coset representative; agreement checks that orbit test against the
 finest congruence through every {0, beta}.
+The reference chain keeps every deduplicated Schreier generator at each
+level, as ``stabilizer_chain`` did before it sifted them.  ``sifts``
+strips a permutation through a chain's stored transversals, inverting each
+one itself rather than through ``permgroup``; through a complete chain,
+exactly the elements of the group sift to the identity.
 ``reference_projective_points`` normalises every nonzero vector and sorts
 the set of normal forms.  Both it and ``reference_induce`` take normal
 forms with ``normalize``, which scales a vector so that its first nonzero
@@ -783,6 +788,20 @@ def reference_stabilizer_chain(action):
         order *= len(trans)
         gens = _reference_schreier_generators(gens, trans)
     return StabilizerChain(tuple(base), tuple(transversals), order)
+
+
+def sifts(chain: StabilizerChain, g: Sequence[int]) -> bool:
+    """True iff g strips to the identity through the chain: at each level
+    the image of the base point must name a stored transversal element u,
+    and g is replaced by g followed by u^-1."""
+    g = list(g)
+    for beta, transversal in zip(chain.base, chain.transversals):
+        u = transversal.get(g[beta])
+        if u is None:
+            return False
+        back = {y: x for x, y in enumerate(u)}
+        g = [back[y] for y in g]
+    return g == list(range(len(g)))
 
 
 def _closure_is_trivial(gens: Sequence[Permutation], n: int, beta: int) -> bool:

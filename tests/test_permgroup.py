@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     reference_stabilizer_chain,
     reference_stabilizer_orbit_sizes,
     relabel,
+    sifts,
 )
 
 from psu4designs import geometry, permgroup
@@ -192,8 +194,7 @@ def test_five_mirrors_generate_the_reflection_group(kind, reflection_actions):
     assert set(five.generators) <= set(full.generators)
     chain5, chain81 = stabilizer_chain(five), stabilizer_chain(full)
     assert chain5.order == chain81.order == 51840
-    assert chain5.base == chain81.base
-    assert [set(t) for t in chain5.transversals] == [set(t) for t in chain81.transversals]
+    assert all(sifts(chain5, g) for g in full.generators)
     assert stabilizer_orbit_sizes(five, 0) == stabilizer_orbit_sizes(full, 0)
     assert is_primitive(five) == is_primitive(full)
     for design in (build(kind), complement(build(kind))):
@@ -272,6 +273,22 @@ def test_intransitive_input_raises_before_schreier_generators(monkeypatch, refle
         is_primitive(padded)
     with pytest.raises(NotTransitiveError):
         stabilizer_orbit_sizes(padded, 0)
+
+
+def test_desk_scale_guard_before_transitivity(monkeypatch):
+    """Primitivity and suborbits refuse degree 10^4 + 1 before the
+    transitivity closure and before any Schreier generator is built."""
+    cycle = PermutationAction(10001, (tuple(range(1, 10001)) + (0,),))
+
+    def unreachable(*args):
+        raise AssertionError("work past the desk-scale guard")
+
+    monkeypatch.setattr(permgroup, "_closure", unreachable)
+    monkeypatch.setattr(permgroup, "_stabilizer", unreachable)
+    with pytest.raises(ValueError, match="desk-scale guard"):
+        is_primitive(cycle)
+    with pytest.raises(ValueError, match="desk-scale guard"):
+        stabilizer_orbit_sizes(cycle, 0)
 
 
 def test_regular_action_rank_equals_degree():
@@ -370,7 +387,9 @@ def _random_action(rng, n):
 
 
 def test_stabilizer_chain_matches_reference():
-    """Base, every transversal dict in insertion order, and the order."""
+    """The order and the first base point of the reference chain, and every
+    stored transversal element u at level i maps base[i] to its key and
+    fixes base[:i]."""
     rng = random.Random(1010)
     for n in range(13):
         # a uniform pair of degree 11 or 12 generates A_n or S_n, whose
@@ -378,10 +397,63 @@ def test_stabilizer_chain_matches_reference():
         for _ in range(12 if n <= 10 else 4):
             action = _random_action(rng, n)
             got, want = stabilizer_chain(action), reference_stabilizer_chain(action)
-            assert got == want, action
-            assert [list(t.items()) for t in got.transversals] == [
-                list(t.items()) for t in want.transversals
-            ]
+            assert (got.order, got.base[:1]) == (want.order, want.base[:1]), action
+            assert len(got.base) == len(got.transversals)
+            for i, (beta, transversal) in enumerate(zip(got.base, got.transversals)):
+                for point, u in transversal.items():
+                    assert u[beta] == point, action
+                    assert all(u[x] == x for x in got.base[:i]), action
+
+
+def _pgl_action(d):
+    """PGL(d, 3) on the points of PG(d-1, 3), generated by the transvections
+    I+E(i,i+1) and I+E(d,1), the coordinate cycle and diag(-1, 1, ..., 1)."""
+    def matrix(entry):
+        return tuple(tuple(entry(i, j) for j in range(d)) for i in range(d))
+
+    matrices = [matrix(lambda i, j, k=k: int(i == j or (i, j) == (k, (k + 1) % d))) for k in range(d)]
+    matrices.append(matrix(lambda i, j: int((i + 1) % d == j)))
+    matrices.append(matrix(lambda i, j: (2 if i == 0 else 1) * (i == j)))
+    return induce(matrices, projective_points(d, 3), 3)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_pgl_order_on_projective_points(d):
+    """|PGL(d, 3)| = |GL(d, 3)| / 2.  At d = 5 (121 points) the chain that
+    kept every Schreier generator took 73.9 s."""
+    assert group_order(_pgl_action(d)) == math.prod(3**d - 3**i for i in range(d)) // 2
+
+
+def test_generators_and_random_products_sift(reflection_actions):
+    """Every generator, and 100 seeded random products of generators, sift
+    to the identity through the chain of the group they generate."""
+    rng = random.Random(4040)
+    actions = [*reflection_actions.values(), _pgl_action(3), _pgl_action(4)]
+    actions += [_random_action(rng, n) for n in range(13) for _ in range(3)]
+    for action in actions:
+        chain, gens = stabilizer_chain(action), action.generators
+        assert all(sifts(chain, g) for g in gens), action
+        for _ in range(100 if gens else 0):
+            g = identity_perm(action.degree)
+            for _ in range(rng.randint(1, 12)):
+                g = reference_compose(g, rng.choice(gens))
+            assert sifts(chain, g), action
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_transposition_outside_alternating_group(n):
+    """The 3-cycles (0 1 k) generate A_n.  The transposition (0 1) does not
+    sift through its chain, and adding it doubles the order."""
+    gens = []
+    for k in range(2, n):
+        g = list(range(n))
+        g[0], g[1], g[k] = 1, k, 0
+        gens.append(tuple(g))
+    swap = (1, 0) + tuple(range(2, n))
+    chain = stabilizer_chain(PermutationAction(n, tuple(gens)))
+    assert chain.order == math.factorial(n) // 2
+    assert not sifts(chain, swap)
+    assert group_order(PermutationAction(n, (*gens, swap))) == math.factorial(n)
 
 
 def _dihedral(n):
@@ -537,16 +609,17 @@ def test_flag_transitivity_matches_reference(reflection_actions):
 
 
 _CHAIN_SHA256 = {
-    "menon36": "fa3bed35c3fa501dc9865e58bcf852248aec38aa133b837b9825fdefe55f8a75",
-    "minus45": "5e54d1d3c8e5e79d7c6fac88154729b9ee253e067aabe7394d3fb45aa29ecd33",
-    "higman40": "bf0f1d178c60aceb9992c4c54e263581415a9699296051263506bd06352f724b",
+    "menon36": "a34ea08985f86511f547f5a284778672fa84a25575a6b36c7bc0f02648e5ea30",
+    "minus45": "669012cde9c36bc4ccd8d292785fc67d1a7c7930f122c56734c9582cdffa121b",
+    "higman40": "7fd142b638d4e5a303cb694fb6a7a4073bbe0366b51ee1416d7c1e0197a953a3",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_CHAIN_SHA256))
 def test_chain_pinned(kind, reflection_actions):
     """The base, every transversal, the order, the suborbit sizes and the
-    primitivity answer of each reflection action, as first computed."""
+    primitivity answer of each reflection action, as the sifted chain
+    computes them; the suborbit and primitivity parts are as first computed."""
     action = reflection_actions[kind]
     chain = stabilizer_chain(action)
     record = (
