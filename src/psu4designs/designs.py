@@ -417,43 +417,39 @@ class _IsoSearch:
 
     def _refine(self, sig1: list, sig2: list) -> Optional[tuple[list[int], list[int]]]:
         # The signatures come raw: replication numbers at the root, the flat
-        # tuples of _anchor_signature after an individualisation.  Unequal
-        # multisets give d2 up; else the distinct signatures, numbered in
-        # order of first appearance in d1, are the first colouring.
-        if not dict.__eq__(Counter(sig1), Counter(sig2)):
-            return None
-        ids = {s: i for i, s in enumerate(dict.fromkeys(sig1))}
-        col1, col2 = [ids[s] for s in sig1], [ids[s] for s in sig2]
-
-        # An edge round keys point x by its row's layout: the shape number,
-        # the colours of the y whose id occurs once in the row (y = x first:
-        # id 0 is the diagonal's alone), and per other run but the longest
-        # the sum of 1 << w * col[y] over its y, whose w-bit field c counts
-        # colour c with no carry, as n < 2^w.  The longest run holds all
-        # colours less the rest of the row's, and all colours are the same
-        # for every point of both designs, whose classes have equal sizes.
-        # So the key determines the multiset of (edge id, colour) over all y,
-        # and is determined by it.  Unequal key multisets (plain dicts: all
-        # counts are positive, and Counter's == is slower) give d2 up.  A key
-        # holds col[x], so no round merges classes; one that splits none
-        # returns the colouring as it came in, as most rounds do.
+        # tuples of _anchor_signature after an individualisation.  They are
+        # the first round's keys; each later round keys point x by its row's
+        # layout: the shape number, the colours of the y whose id occurs once
+        # in the row (y = x first: id 0 is the diagonal's alone), and per
+        # other run but the longest the sum of 1 << w * col[y] over its y,
+        # whose w-bit field c counts colour c with no carry, as n < 2^w.  The
+        # longest run holds all colours less the rest of the row's, and all
+        # colours are the same for every point of both designs, whose classes
+        # have equal sizes.  So the key determines the multiset of (edge id,
+        # colour) over all y, and is determined by it.
+        # Unequal key multisets (plain dicts: all counts are positive, and
+        # Counter's == is slower) give d2 up; else the distinct keys,
+        # numbered in order of first appearance in d1, are the colouring.  A
+        # later key holds col[x], so no round merges classes; one that splits
+        # none returns the colouring as it came in, as most rounds do.
         # A discrete colouring is returned as it is.  A further round could
         # not change its classes, only fail; and if it fails, the bijection
         # the colouring fixes maps some pair to a pair with another edge id,
         # so it is no isomorphism and _extract rejects the same branch.
-        classes = len(ids)
-        while classes < self.n:
-            keys1, keys2 = self._keys(self.rows1, col1), self._keys(self.rows2, col2)
+        keys1, keys2, classes = sig1, sig2, -1  # the first round always numbers
+        while True:
             tally = Counter(keys1)
             if not dict.__eq__(tally, Counter(keys2)):
                 return None
             if len(tally) == classes:
-                break
+                return col1, col2
             ids = {k: i for i, k in enumerate(tally)}
             col1 = list(map(ids.__getitem__, keys1))
             col2 = list(map(ids.__getitem__, keys2))
             classes = len(ids)
-        return col1, col2
+            if classes == self.n:
+                return col1, col2
+            keys1, keys2 = self._keys(self.rows1, col1), self._keys(self.rows2, col2)
 
     def _keys(self, rows: tuple, col: list[int]) -> Sequence[tuple[int, ...]]:
         # one zip per shape over its columns, each key as the comment in

@@ -69,7 +69,7 @@ def _dot_products(
     sum(map(mul, c, x)) reads them."""
     columns = list(itertools.zip_longest(*points, fillvalue=0))
     size = next((s for s in (1, 2, 4, 8) if len(columns) * (p - 1) ** 2 < 1 << 8 * s), 0)
-    if p < 2 or not size:  # no modulus, or fields past 8 bytes: p > 2^32 / sqrt(dim)
+    if not size:  # fields past 8 bytes: p > 2^32 / sqrt(dim)
         return lambda c: [sum(map(mul, c, x)) % p for x in points]
     fields = Struct(f"<{len(points)}{'BHIQ'[size.bit_length() - 1]}")
     packed = [int.from_bytes(fields.pack(*map(p.__rmod__, col)), "little") for col in columns]

@@ -16,6 +16,7 @@ from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import geometry
+from .exactmath import is_prime
 
 if TYPE_CHECKING:
     from .designs import IncidenceStructure
@@ -92,9 +93,12 @@ def induce(
 ) -> PermutationAction:
     """The permutations of the point list induced by matrices acting
     projectively (x -> normal form of M x).  Scalar matrices induce the
-    identity; a matrix moving any point out of the set is rejected."""
+    identity; a matrix moving any point out of the set is rejected, and so
+    is a modulus that is not prime."""
     if not points:
         raise ValueError("empty point list")
+    if not is_prime(p):
+        raise ValueError(f"need a prime modulus, got {p}")
     # Every nonzero multiple of a listed normal form names its point, so an
     # image is looked up without normalising it.  Other coordinate tuples
     # are no normal form, so no normalised image ever matched them.
@@ -160,27 +164,35 @@ def _grow(gens: list[tuple[Permutation, Permutation]], trans: dict[int, Permutat
                 queue.append(b)
 
 
-def _stabilizer(
-    gens: Sequence[Permutation], point: int, n: int
-) -> tuple[dict[int, Permutation], list[Permutation]]:
-    """The transversal of the point's orbit, with t_a[point] = a, and the
-    sorted, deduplicated nontrivial Schreier generators t_{g(a)}^-1 t_a g of
-    its stabilizer (Seress, Permutation Group Algorithms, 2003, 4.1)."""
+def _suborbits(
+    action: PermutationAction, point: int
+) -> tuple[dict[int, Permutation], list[Permutation], list[set[int]]]:
+    """For a transitive action of degree at most 10^4: the transversal, with
+    t_a[point] = a, the sorted, deduplicated nontrivial Schreier generators
+    t_{g(a)}^-1 t_a g of the point's stabilizer (Seress, Permutation Group
+    Algorithms, 2003, 4.1) and its orbits, ordered by their least points.
+
+    Raises NotTransitiveError on intransitive input."""
+    n, gens = action
+    if n > 10_000:
+        raise ValueError("degree beyond the desk-scale guard (10^4)")
+    if len(_closure(gens, point)) != n:
+        raise NotTransitiveError("action is not transitive")
     ident = identity_perm(n)
     trans, inv = {point: ident}, {point: ident}
     _grow([(g, inverse(g)) for g in gens], trans, inv, set())
-    if n < 2:
-        return trans, []  # the only permutation of degree 0 or 1 is the identity
     out = set()
-    for a, t in trans.items():
-        # ta(g) is compose(t_a, g); picking its images out of inv[g[a]]
-        # applies t_{g(a)}^-1 after it
-        ta = itemgetter(*t)
-        for g in gens:
-            s = itemgetter(*ta(g))(inv[g[a]])
-            if s != ident:
-                out.add(s)
-    return trans, sorted(out)
+    if n > 1:  # the only permutation of degree 0 or 1 is the identity
+        for a, t in trans.items():
+            # ta(g) is compose(t_a, g); picking its images out of inv[g[a]]
+            # applies t_{g(a)}^-1 after it
+            ta = itemgetter(*t)
+            for g in gens:
+                s = itemgetter(*ta(g))(inv[g[a]])
+                if s != ident:
+                    out.add(s)
+    stab = sorted(out)
+    return trans, stab, _orbits(stab, n)
 
 
 class StabilizerChain(NamedTuple):
@@ -312,33 +324,21 @@ def is_primitive(action: PermutationAction) -> bool:
     n = action.degree
     if not n:
         raise ValueError("seed out of range")  # degree 0 has no point 0
-    if n > 10_000:
-        raise ValueError("degree beyond the desk-scale guard (10^4)")
-    if len(_closure(action.generators, 0)) != n:
-        raise NotTransitiveError("action is not transitive")
-    trans, stab = _stabilizer(action.generators, 0, n)
+    trans, stab, suborbits = _suborbits(action, 0)
     # The blocks through 0 are the orbits H(0) of the groups G_0 <= H <= G
     # (Dixon & Mortimer, Thm 1.5A).  Every element taking 0 to beta lies in
     # t_beta G_0, so the least block through {0, beta} is the orbit of 0
     # under <G_0, t_beta>.  An h in G_0 maps it onto the least block through
     # {0, h beta}, so one beta per suborbit decides; the first is {0}.
-    return all(
-        len(_closure(stab + [trans[min(o)]], 0)) == n for o in _orbits(stab, n)[1:]
-    )
+    return all(len(_closure(stab + [trans[min(o)]], 0)) == n for o in suborbits[1:])
 
 
 def stabilizer_orbit_sizes(action: PermutationAction, point: int) -> list[int]:
     """Sorted orbit sizes of the stabilizer of the point (Schreier
     generators); their count is the permutation rank."""
-    n = action.degree
-    if not 0 <= point < n:
+    if not 0 <= point < action.degree:
         raise ValueError("point out of range")
-    if n > 10_000:
-        raise ValueError("degree beyond the desk-scale guard (10^4)")
-    if len(_closure(action.generators, point)) != n:
-        raise NotTransitiveError("action is not transitive")
-    _, stab = _stabilizer(action.generators, point, n)
-    return sorted(map(len, _orbits(stab, n)))
+    return sorted(map(len, _suborbits(action, point)[2]))
 
 
 # The lexicographically first generating 5-subset of the 81 mirrors; greedy

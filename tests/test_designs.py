@@ -383,6 +383,16 @@ def test_relabel_self_isomorphism(built):
         assert is_isomorphism(d, shuffled, witness)
 
 
+def test_isomorphism_of_degenerate_structures():
+    """With no point the search starts and ends at the empty colouring; with
+    one it starts discrete, blocks or none."""
+    assert find_isomorphism(IncidenceStructure(0, ()), IncidenceStructure(0, ())) == []
+    assert find_isomorphism(IncidenceStructure(0, ((),)), IncidenceStructure(0, ((),))) == []
+    assert find_isomorphism(IncidenceStructure(1, ()), IncidenceStructure(1, ())) == [0]
+    one = IncidenceStructure(1, ((0,), ()))
+    assert find_isomorphism(one, one) == [0]
+
+
 def test_isomorphism_reflexive_and_symmetric(built):
     d1 = complement(built["pg33"])
     d2 = complement(built["higman40"])

@@ -75,6 +75,13 @@ def test_induce_rejects_wrong_point_set():
         induce([ident], [], 3)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_induce_rejects_non_prime_modulus(p):
+    ident = ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match=rf"^need a prime modulus, got {p}$"):
+        induce([ident], projective_points(2, 3), p)
+
+
 def test_induce_matches_reference():
     """The reflections along all 81 mirrors, on each point class and on all
     121 points."""
@@ -260,15 +267,15 @@ def test_stabilizer_orbits_partition_degree(reflection_actions):
 
 def test_intransitive_input_raises_before_schreier_generators(monkeypatch, reflection_actions):
     """One orbit closure rejects intransitive input before the stabilizer's
-    Schreier generators are built: here the 36-point action with a fixed
-    point added."""
+    transversal, and so any Schreier generator, is built: here the 36-point
+    action with a fixed point added."""
     menon = reflection_actions["menon36"]
     padded = PermutationAction(37, tuple(g + (36,) for g in menon.generators))
 
     def unreachable(*args):
-        raise AssertionError("_stabilizer ran on intransitive input")
+        raise AssertionError("_grow ran on intransitive input")
 
-    monkeypatch.setattr(permgroup, "_stabilizer", unreachable)
+    monkeypatch.setattr(permgroup, "_grow", unreachable)
     with pytest.raises(NotTransitiveError):
         is_primitive(padded)
     with pytest.raises(NotTransitiveError):
@@ -277,14 +284,15 @@ def test_intransitive_input_raises_before_schreier_generators(monkeypatch, refle
 
 def test_desk_scale_guard_before_transitivity(monkeypatch):
     """Primitivity and suborbits refuse degree 10^4 + 1 before the
-    transitivity closure and before any Schreier generator is built."""
+    transitivity closure and before the transversal or any Schreier
+    generator is built."""
     cycle = PermutationAction(10001, (tuple(range(1, 10001)) + (0,),))
 
     def unreachable(*args):
         raise AssertionError("work past the desk-scale guard")
 
     monkeypatch.setattr(permgroup, "_closure", unreachable)
-    monkeypatch.setattr(permgroup, "_stabilizer", unreachable)
+    monkeypatch.setattr(permgroup, "_grow", unreachable)
     with pytest.raises(ValueError, match="desk-scale guard"):
         is_primitive(cycle)
     with pytest.raises(ValueError, match="desk-scale guard"):
