@@ -16,7 +16,7 @@ makes the polarity explicit and the incidence matrix symmetric;
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, islice, repeat
+from itertools import compress, filterfalse, islice, repeat
 from operator import add, itemgetter, lt, not_
 from struct import Struct
 from typing import NamedTuple, Optional, Sequence, Union
@@ -149,10 +149,14 @@ def verify_symmetric(
 
 
 def complement(design: IncidenceStructure) -> IncidenceStructure:
-    """Replace every block by its complement in the point set."""
-    full = set(range(design.v))
-    blocks = tuple(tuple(sorted(full - set(b))) for b in design.blocks)
-    return IncidenceStructure(design.v, blocks)
+    """Replace every block by its complement in the point set.
+
+    The blocks skip ``IncidenceStructure``'s checks: each is read off
+    0..v-1 in order, so it is strictly sorted and in range by construction.
+    """
+    every = range(design.v)
+    blocks = tuple(tuple(filterfalse(set(b).__contains__, every)) for b in design.blocks)
+    return IncidenceStructure._make((design.v, blocks))
 
 
 def is_isomorphism(
@@ -176,6 +180,16 @@ def is_isomorphism(
 # equitable), so each individualisation also refines every vertex by its
 # triple counts against the anchor set picked so far, which discretises
 # the colouring after two or three anchors.
+#
+# A dense pair (2 sum|B| > v b, the same for both designs once their block
+# sizes agree) is searched on its complements, which leave _pair_profiles
+# fewer incidences to count; a tie is not complemented.  A bijection maps
+# D's blocks onto E's exactly when it maps their complements, so answers
+# stay the same.  With every point on r blocks and every pair on lambda, the
+# complement's triple count of three distinct points is
+# t' = b - 3r + 3 lambda - t, a bijection of t, and its pair and replication
+# numbers are constants too, so every colouring, id and witness is the dense
+# pair's.
 #
 # The profiles are counted per value.  Write
 # M(x, y, z) = |B(x) & B(y) & B(z)|, which is symmetric in its three points.
@@ -510,6 +524,8 @@ def find_isomorphism(
     n = d1.v
     if n != d2.v or sorted(map(len, d1.blocks)) != sorted(map(len, d2.blocks)):
         return None
+    if 2 * sum(map(len, d1.blocks)) > n * len(d1.blocks):
+        d1, d2 = complement(d1), complement(d2)
     codes = _edge_codes(d1, d2)
     if codes is None:
         return None

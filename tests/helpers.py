@@ -75,6 +75,11 @@ nested tuple (colour, anchor flag, tuple of triple counts) per point, from
 a generator over the anchors run for every point.  ``_refine`` must give
 the same colour ids on it as on the flat tuples.
 
+``reference_complement`` is ``designs.complement`` as it sorted the set
+difference of each block from the full point set and passed the result
+through ``IncidenceStructure``'s block checks, before each block was read
+off the points in one pass that skips them.
+
 ``reference_out_of_range`` and ``reference_unsorted`` are the per-block
 checks that ``IncidenceStructure`` and ``parse_design`` ran as generator
 predicates before they took ``min``/``max`` and ``all(map(lt, ...))``.
@@ -186,6 +191,12 @@ def flags(design: IncidenceStructure) -> list[tuple[int, int]]:
 def relabel(design: IncidenceStructure, perm: list[int]) -> IncidenceStructure:
     """Rename point i to perm[i], keeping block order."""
     blocks = tuple(tuple(sorted(perm[i] for i in b)) for b in design.blocks)
+    return IncidenceStructure(design.v, blocks)
+
+
+def reference_complement(design: IncidenceStructure) -> IncidenceStructure:
+    full = set(range(design.v))
+    blocks = tuple(tuple(sorted(full - set(b))) for b in design.blocks)
     return IncidenceStructure(design.v, blocks)
 
 

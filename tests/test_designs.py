@@ -15,6 +15,7 @@ from helpers import (
     flags,
     reference_anchor_signature,
     reference_build,
+    reference_complement,
     reference_find_isomorphism,
     reference_out_of_range,
     reference_pair_profiles,
@@ -78,8 +79,30 @@ def test_complements_verify(built):
 
 
 def test_complement_involution(built):
-    d = built["menon36"]
-    assert complement(complement(d)) == d
+    """The one-pass complement against the sorted set difference, on the 8
+    built designs and on random structures with empty, full and repeated
+    blocks, one point or no block; its blocks pass the checks it skips."""
+    rng = random.Random(3131)
+    cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
+    cases += [_random_structure(rng) for _ in range(200)]
+    cases += [
+        IncidenceStructure(1, ()), IncidenceStructure(1, ((), (0,), ())),
+        IncidenceStructure(6, ()), IncidenceStructure(0, ((),)),
+        IncidenceStructure(5, ((0, 1, 2, 3, 4), (), (1, 3), (1, 3))),
+    ]
+    seen = Counter()
+    for d in cases:
+        c = complement(d)
+        assert c == reference_complement(d), d
+        assert complement(c) == d, d
+        assert type(c) is IncidenceStructure
+        assert IncidenceStructure(*c) == c
+        seen["empty"] += () in d.blocks
+        seen["full"] += tuple(range(d.v)) in d.blocks
+        seen["repeated"] += len(set(d.blocks)) < len(d.blocks)
+        seen["one point"] += d.v == 1
+        seen["no block"] += not d.blocks
+    assert min(seen.values()) >= 3, seen
 
 
 def test_incidence_identity(built):
@@ -422,6 +445,20 @@ def _dense_structure(rng, v=24):
     ))
 
 
+def _random_dense_structure(rng):
+    """Random blocks, full and repeated ones included, redrawn until they
+    hold more incidences than non-incidences: 2 sum|B| > v b."""
+    while True:
+        v = rng.randint(1, 9)
+        blocks = [
+            tuple(sorted(rng.sample(range(v), rng.randint(v // 3, v))))
+            for _ in range(rng.randint(1, 12))
+        ]
+        blocks += rng.choices(blocks, k=rng.randint(0, 2))
+        if 2 * sum(map(len, blocks)) > v * len(blocks):
+            return IncidenceStructure(v, tuple(blocks))
+
+
 def test_pair_profiles_match_reference(built):
     cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
     rng = random.Random(2024)
@@ -580,6 +617,46 @@ def test_search_matches_reference_on_random_structures():
             early += 1
             assert got is None
     assert early >= 100, early
+
+
+def test_search_matches_reference_on_dense_structures():
+    """Dense input, which the search runs on the complements: each random
+    dense structure against a relabelling of itself and against another
+    structure with the same block sizes."""
+    rng = random.Random(3939)
+    answers = Counter()
+    for _ in range(150):
+        d = _random_dense_structure(rng)
+        for other in (relabel(d, rng.sample(range(d.v), d.v)), _same_block_sizes(rng, d)):
+            got = find_isomorphism(d, other)
+            want = reference_find_isomorphism(d, other)
+            assert (got is None) == (want is None), (d, other)
+            assert got is None or is_isomorphism(d, other, got), (d, other)
+            answers[got is not None] += 1
+    assert answers[True] >= 150 and answers[False] >= 50, answers
+
+
+def test_pair_profiles_see_only_the_sparse_side(monkeypatch, built):
+    """_pair_profiles counts the complements of a dense pair, here minus45's
+    complement against a relabelling, and a tie as it is: four points and
+    blocks of two, as many incidences as non-incidences."""
+    profiles, seen = _pair_profiles, []
+
+    def recorded(design):
+        seen.append(design)
+        return profiles(design)
+
+    monkeypatch.setattr("psu4designs.designs._pair_profiles", recorded)
+    rng = random.Random(4545)
+    dense = complement(built["minus45"])
+    tie = IncidenceStructure(4, ((0, 1), (2, 3), (0, 2), (1, 3)))
+    for d, kept in ((dense, False), (tie, True)):
+        other = relabel(d, rng.sample(range(d.v), d.v))
+        seen.clear()
+        witness = find_isomorphism(d, other)
+        assert witness is not None and is_isomorphism(d, other, witness)
+        assert all(2 * sum(map(len, s.blocks)) <= s.v * len(s.blocks) for s in seen), seen
+        assert seen == ([d, other] if kept else [complement(d), complement(other)])
 
 
 # The reproducers of ROADMAP's iso-search items: points told apart by
