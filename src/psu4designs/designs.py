@@ -62,6 +62,8 @@ class IncidenceStructure(_IncidenceStructure):
     __slots__ = ()
 
     def __new__(cls, v: int, blocks: tuple[tuple[int, ...], ...]) -> IncidenceStructure:
+        # tuples, so that the checks and every later reader see hashable blocks
+        blocks = tuple(map(tuple, blocks))
         for b, block in enumerate(blocks):
             if block and (min(block) < 0 or max(block) >= v):
                 raise ValueError(f"block {b} has an out-of-range point index")
@@ -176,10 +178,12 @@ def is_isomorphism(
 # The profiles never see a point's replication number, so the root
 # colouring starts from it: an isomorphism preserves it, and points that
 # differ in it alone would otherwise be told apart only at the leaves.
-# Plain 1-WL refinement stalls on these designs (the rank-3 partitions are
-# equitable), so each individualisation also refines every vertex by its
-# triple counts against the anchor set picked so far, which discretises
-# the colouring after two or three anchors.
+# Individualising a point gives it a colour of its own, as in McKay and
+# Piperno, "Practical graph isomorphism II" (2014).  Plain 1-WL refinement
+# stalls on these designs (the rank-3 partitions are equitable), so each
+# individualisation also refines every vertex by its triple counts against
+# the anchor set picked so far, which discretises the colouring after two
+# or three anchors.
 #
 # A dense pair (2 sum|B| > v b, the same for both designs once their block
 # sizes agree) is searched on its complements, which leave _pair_profiles
@@ -200,10 +204,11 @@ def is_isomorphism(
 #
 # Each block becomes one big int with a field per pair y < z, 1 when y and
 # z both lie in the block; summed over the blocks through x, field (y, z)
-# is M(x, y, z).  bytes.translate maps each byte to the bits of the (up to
-# 8) values that byte matches, one bit per value; a field matches a value
-# when all of its bytes do, and the matching bit, shifted down and masked,
-# is that value's indicator, added into its count int.  A field holds a
+# is M(x, y, z), and summed over all blocks it is lambda_yz = M(y, y, z).
+# bytes.translate maps each byte to the bits of the (up to 8) values that
+# byte matches, one bit per value; a field matches a value when all of its
+# bytes do, and the matching bit, shifted down and masked, is that value's
+# indicator, added into its count int.  A field holds a
 # triple count in the sums and a count of points in the count ints, so its
 # width comes from the larger of the largest replication number and v,
 # never a fixed byte: with one-byte fields, 300 copies of a block read as
@@ -280,14 +285,13 @@ def _pair_profiles(design: IncidenceStructure) -> tuple[list[int], list[tuple]]:
             triangle[starts[y]:starts[y + 1]] = col[size * (y + 1):]
         blocks.append(int.from_bytes(triangle, "little"))
     ones = int.from_bytes((b"\1" + bytes(size - 1)) * pairs, "little")
+    lams = sum(blocks).to_bytes(span, "little")
     values: list[int] = []
     # per group of up to 8 values, a translate table per byte of a field
     tables: list[list[bytearray]] = []
     counts: list[list[int]] = []
-    lams = bytearray()
     for x in range(n):
         triples = sum(map(blocks.__getitem__, through[x])).to_bytes(span, "little")
-        lams += triples[starts[x]:starts[x + 1]]
         if most < 256:
             new = set(triples[::size].translate(None, bytes(values)))
         else:
@@ -352,15 +356,15 @@ def _edge_codes(
 
 
 def _anchor_signature(masks: list[int], col: list[int], anchors: tuple[int, ...],
-                      x: int, flag: list[bool]) -> list[tuple]:
-    """Per point z, (col[z], z == x, c_1, ..., c_d) with c_i = |B(a_i) & B(x) & B(z)|,
-    one count list per anchor; flag is an all-False list lent for the call.  Two
-    points get equal tuples exactly when (col, flag, (c_i)) is equal."""
+                      x: int) -> list[tuple]:
+    """Per point z, (col'[z], c_1, ..., c_d) with c_i = |B(a_i) & B(x) & B(z)|,
+    one count list per anchor, and col' the colouring col with x individualised:
+    given colour -1, which no colour id takes.  Two points get equal tuples
+    exactly when (col, z == x, (c_i)) is equal; col is left as it is."""
     counts = [[(p & m).bit_count() for m in masks] for p in [masks[a] & masks[x] for a in anchors]]
-    flag[x] = True
-    sig = list(zip(col, flag, *counts))
-    flag[x] = False
-    return sig
+    own = col.copy()
+    own[x] = -1
+    return list(zip(own, *counts))
 
 
 class _IsoSearch:
@@ -378,18 +382,15 @@ class _IsoSearch:
         self.d2 = d2
         self.masks1 = d1.point_masks()
         self.masks2 = d2.point_masks()
-        w = next(b for b in (8, 16, 32, 64) if n < 1 << b)
+        w = n.bit_length()
         self.units = [1 << w * c for c in range(n)]
         shapes: dict[tuple[int, ...], tuple] = {}
 
         def layout(ids: tuple[int, ...]) -> tuple:
             # a row's shape is its sorted ids, the diagonal's 0 first.  Per
             # shape: its number, the positions of the ids that occur once
-            # (None when all do, as in most rows of irregular structures,
-            # which then take no step per id) and the slices of the runs of
-            # the other ids but the longest, whose sum the key leaves out
-            if len(set(ids)) == n:
-                return len(shapes), None, ()
+            # and the slices of the runs of the other ids but the longest,
+            # whose sum the key leaves out
             count = Counter(ids)
             longest = max(count, key=count.__getitem__)
             once, slices, start = [], [], 0
@@ -417,7 +418,7 @@ class _IsoSearch:
                 r, once, slices = shape
                 xs, singles, groups = by_shape.setdefault(r, ([], [], []))
                 xs.append(x)
-                singles.append(order if once is None else list(map(order.__getitem__, once)))
+                singles.append(list(map(order.__getitem__, once)))
                 groups.append([order[s] for s in slices])
             laid = [x for xs, _, _ in by_shape.values() for x in xs]
             columns = [(r, len(xs), list(zip(*singles)), list(zip(*groups)))
@@ -498,12 +499,11 @@ class _IsoSearch:
         target = min(split, key=lambda c: (counts[c], c))
         x = col1.index(target)
         # anchor-triple refinement, by _anchor_signature; d1's is the same for every y
-        flag = [False] * self.n
-        sig1 = _anchor_signature(self.masks1, col1, anchors1, x, flag)
+        sig1 = _anchor_signature(self.masks1, col1, anchors1, x)
         for y in range(self.n):
             if col2[y] != target:
                 continue
-            refined = self._refine(sig1, _anchor_signature(self.masks2, col2, anchors2, y, flag))
+            refined = self._refine(sig1, _anchor_signature(self.masks2, col2, anchors2, y))
             if refined is None:
                 continue
             found = self.search(

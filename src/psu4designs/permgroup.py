@@ -81,6 +81,8 @@ class PermutationAction(_PermutationAction):
     __slots__ = ()
 
     def __new__(cls, degree: int, generators: tuple[Permutation, ...]) -> PermutationAction:
+        # tuples, so that the checks and every later reader see hashable generators
+        generators = tuple(map(tuple, generators))
         for g in generators:
             _check_perm(g, degree)
         return super().__new__(cls, degree, generators)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -43,6 +44,7 @@ from psu4designs.designs import (
     _pair_profiles,
 )
 from psu4designs.exactmath import DesignParams
+from psu4designs.geometry import pg_hyperplanes
 
 EXPECTED_PARAMS = {
     "menon36": (36, 15, 6),
@@ -636,6 +638,57 @@ def test_search_matches_reference_on_dense_structures():
     assert answers[True] >= 150 and answers[False] >= 50, answers
 
 
+def _cycle_200():
+    """The 200-point cycle: blocks {x, x+1 mod 200}."""
+    return IncidenceStructure(200, tuple(tuple(sorted((x, (x + 1) % 200))) for x in range(200)))
+
+
+def _pg25():
+    """PG(2, 5): 31 points on 31 lines, every pair on one line."""
+    return IncidenceStructure(31, tuple(map(tuple, pg_hyperplanes(3, 5))))
+
+
+@pytest.mark.parametrize("make, nodes", [(_cycle_200, 3), (_pg25, 389)], ids=["cycle200", "pg25"])
+def test_search_node_counts_on_guard_reproducers(monkeypatch, make, nodes):
+    """The search trees of the ROADMAP's guard reproducers, by their count of
+    search calls against the relabelling random.Random(0) shuffles.  In PG(2, 5)
+    every pair has the same profile, so only the anchor triple counts split;
+    the cycle needs the in-search edge rounds.  A change that keeps the tree
+    keeps these counts."""
+    calls = Counter()
+    search = _IsoSearch.search
+
+    def counted(self, *args):
+        calls["search"] += 1
+        return search(self, *args)
+
+    monkeypatch.setattr(_IsoSearch, "search", counted)
+    d = make()
+    perm = list(range(d.v))
+    random.Random(0).shuffle(perm)
+    shuffled = relabel(d, perm)
+    witness = find_isomorphism(d, shuffled)
+    assert witness is not None and is_isomorphism(d, shuffled, witness)
+    assert calls["search"] == nodes
+
+
+def test_witnesses_on_irregular_structures_are_pinned():
+    """Colour ids and tie-breaks fix the witness.  100 random structures,
+    each against a seeded relabelling of itself and against the next one
+    (the last against the first): the sha256 of the repr of the 200 results
+    is pinned, so a change that moves any witness or answer shows here and
+    must be certified as one."""
+    rng = random.Random(4040)
+    structures = [_random_structure(rng) for _ in range(100)]
+    results = []
+    for i, d in enumerate(structures):
+        results.append(find_isomorphism(d, relabel(d, rng.sample(range(d.v), d.v))))
+        results.append(find_isomorphism(d, structures[(i + 1) % 100]))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "204ac0adefb6bca734b9933f9c535122d4cc15244e16adeec32af76798ba1bd8"
+    )
+
+
 def test_pair_profiles_see_only_the_sparse_side(monkeypatch, built):
     """_pair_profiles counts the complements of a dense pair, here minus45's
     complement against a relabelling, and a tie as it is: four points and
@@ -844,7 +897,8 @@ def test_flat_anchor_signature_matches_nested(built):
     """_refine gives the same colour ids, or the same None, on the flat
     anchor signatures as on the nested ones the search built before, at
     anchor depths 0-4.  d2 is a relabelling of d1; its anchors, x and
-    colouring are either the images of d1's or drawn at random."""
+    colouring are either the images of d1's or drawn at random.  The
+    colourings passed in come back unchanged."""
     rng = random.Random(5151)
     cases = [d for kind in KINDS for d in (built[kind], complement(built[kind]))]
     cases += [_random_structure(rng) for _ in range(40)]
@@ -856,7 +910,6 @@ def test_flat_anchor_signature_matches_nested(built):
         d2 = relabel(d1, perm)
         searcher = _IsoSearch(d1, d2, *_edge_codes(d1, d2))
         m1, m2 = searcher.masks1, searcher.masks2
-        flag = [False] * n
         for depth in range(min(5, n)):
             *anchors1, x = rng.sample(range(n), depth + 1)
             anchors1 = tuple(anchors1)
@@ -869,17 +922,18 @@ def test_flat_anchor_signature_matches_nested(built):
                 (tuple(perm[a] for a in anchors1), perm[x], col2),
                 (tuple(others), other, rng.sample(col1, n)),
             ):
+                given = col1.copy(), c2.copy()
                 flat = searcher._refine(
-                    _anchor_signature(m1, col1, anchors1, x, flag),
-                    _anchor_signature(m2, c2, anchors2, y, flag),
+                    _anchor_signature(m1, col1, anchors1, x),
+                    _anchor_signature(m2, c2, anchors2, y),
                 )
+                assert (col1, c2) == given
                 nested = searcher._refine(
                     reference_anchor_signature(m1, col1, anchors1, x),
                     reference_anchor_signature(m2, c2, anchors2, y),
                 )
                 assert flat == nested, (d1, depth)
                 answers[depth, flat is None] += 1
-        assert flag == [False] * n
     assert all(answers[depth, False] for depth in range(5)), answers
     assert sum(answers[depth, True] for depth in range(5)) >= 50, answers
 

@@ -210,6 +210,39 @@ def test_record_checks(make, message):
         make()
 
 
+def _fano_action():
+    """PSL(3, 2) on the Fano plane's points, from a coordinate 3-cycle and a
+    transvection."""
+    matrices = [((0, 0, 1), (1, 0, 0), (0, 1, 0)), ((1, 1, 0), (0, 1, 0), (0, 0, 1))]
+    return permgroup.induce(matrices, geometry.projective_points(3, 2), 2)
+
+
+def _fano_answers(design, action):
+    blocks = permgroup.induced_block_action(action, design)
+    return (designs.verify_symmetric(design), designs.find_isomorphism(design, design), blocks,
+            permgroup.group_order(action), permgroup.is_primitive(action),
+            permgroup.stabilizer_orbit_sizes(action, 0),
+            permgroup.is_flag_transitive(action, design, blocks))
+
+
+@pytest.mark.parametrize("listed", ["IncidenceStructure", "PermutationAction"])
+def test_records_hold_tuples_of_list_input(listed):
+    """A record made from lists holds tuples, as its repr shows, and answers
+    as the record made from tuples does; lists would be unhashable in the
+    block lookups and orbit sets."""
+    design, action = _fano(), _fano_action()
+    want = _fano_answers(design, action)
+    assert want[3] == 168
+    if listed == "IncidenceStructure":
+        record = designs.IncidenceStructure(7, [list(b) for b in design.blocks])
+        same, design = design, record
+    else:
+        record = permgroup.PermutationAction(7, [list(g) for g in action.generators])
+        same, action = action, record
+    assert repr(record) == repr(same) and record == same
+    assert _fano_answers(design, action) == want
+
+
 def test_runtime_imports_are_stdlib_only():
     """Zero runtime dependencies: every import in the package's modules is a
     standard-library module or the package itself."""
